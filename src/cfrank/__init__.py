@@ -25,6 +25,7 @@ from .errors import (
     DepthExhausted,
     DepthUnavailable,
     EmptyFragmentList,
+    Enclosure,
     InvalidP,
     InvalidSchedule,
     OffsetOverlap,
@@ -72,6 +73,7 @@ __all__ = [
     "DepthExhausted",
     "DepthUnavailable",
     "EmptyFragmentList",
+    "Enclosure",
     "GrowthReport",
     "InequalityReport",
     "IntervalSet",

@@ -4,18 +4,17 @@ Subcommands: build, scan-mixing, weak-limits, cesaro, inequality,
 spectrum, poisson-mult, concat.  Every command is a deterministic function
 of its config: identical invocations produce byte-identical reports, and
 each JSON report embeds the resolved config it was produced from.
-CFRANK_THREADS caps parallel evaluation of independent scan points; the
-output ordering is canonical regardless.
 
 Exit codes: 0 success, 2 config/parse error, 3 schedule invariant
-violation, 4 unresolved depth in --strict mode.
+violation, 4 unresolved depth: with --strict for the commands that report
+enclosures (scan-mixing, weak-limits), always for the commands that report
+exact values only (cesaro, inequality, spectrum).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -43,19 +42,11 @@ from .towers import build_levels, check_restricted_growth, measure_report
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
-EXIT_STRICT_DEPTH = 4
+EXIT_DEPTH = 4
 
 
 class ConfigError(Exception):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("CFRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_json_arg(raw: str):
@@ -172,8 +163,7 @@ def cmd_scan_mixing(args) -> int:
     tests, label = _parse_tests(args.tests, levels)
     stages = _parse_stages(args.stages)
     report = scan_mixing_intervals(levels, tests, stages, args.samples,
-                                   args.power, args.max_depth,
-                                   threads=_threads(), test_set_label=label)
+                                   args.power, args.max_depth, test_set_label=label)
     unresolved = any(not s.exact for s in report.stages)
     if args.format == "csv":
         text = reports.decay_report_csv(report, decimal=args.decimal)
@@ -187,7 +177,7 @@ def cmd_scan_mixing(args) -> int:
         text = reports.canonical_json(body)
     _write(text, args.out)
     if unresolved and args.strict:
-        return EXIT_STRICT_DEPTH
+        return EXIT_DEPTH
     return EXIT_OK
 
 
@@ -218,19 +208,14 @@ def cmd_weak_limits(args) -> int:
     }
     _write(reports.canonical_json(body), args.out)
     if unresolved and args.strict:
-        return EXIT_STRICT_DEPTH
+        return EXIT_DEPTH
     return EXIT_OK
 
 
 def cmd_cesaro(args) -> int:
     doc, levels = _levels_for(args)
     B = parse_cylinder(_load_json_arg(args.cylinder))
-    try:
-        value = cesaro_norm(args.k, args.l, B, levels, args.max_depth)
-    except DepthExhausted as exc:
-        if args.strict:
-            return EXIT_STRICT_DEPTH
-        raise
+    value = cesaro_norm(args.k, args.l, B, levels, args.max_depth)
     body = {
         "config": {"command": "cesaro", "schedule": doc, "depth": args.depth,
                    "max_depth": args.max_depth, "k": args.k, "l": args.l,
@@ -265,12 +250,7 @@ def cmd_inequality(args) -> int:
 def cmd_spectrum(args) -> int:
     doc, levels = _levels_for(args)
     f = parse_cylinder(_load_json_arg(args.cylinder))
-    try:
-        seq = spectral_sequence(f, args.max_m, levels, args.max_depth)
-    except DepthExhausted:
-        if args.strict:
-            return EXIT_STRICT_DEPTH
-        raise
+    seq = spectral_sequence(f, args.max_m, levels, args.max_depth)
     if args.format == "csv":
         text = reports.spectral_csv(seq, decimal=args.decimal)
     else:
@@ -390,6 +370,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except DepthExhausted as exc:
+        lo, hi = exc.interval
+        print(f"cfrank: a correlation in [{lo}, {hi}] is unresolved at max depth "
+              f"{args.max_depth}; raise --max-depth", file=sys.stderr)
+        return EXIT_DEPTH
     except (InvalidSchedule, OffsetOverlap) as exc:
         print(f"cfrank: invalid schedule: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

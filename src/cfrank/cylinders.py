@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DepthExhausted, DepthUnavailable
+from .errors import DepthUnavailable, Enclosure
 from .intervals import IntervalSet
 from .towers import TowerLevels
 
@@ -221,35 +221,27 @@ def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
     return total
 
 
-def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
-                max_depth: int) -> Fraction:
-    """mu(T^m A cap B), exact.
+def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
+                       max_depth: int) -> Enclosure:
+    """mu(T^m A cap B) as an exact enclosure; degenerate when fully resolved.
 
     This is the matrix coefficient <U^m 1_A, 1_B> whose decay over mixing
-    intervals is the quantity of interest.  If part of T^m A is unresolved
-    at max_depth, DepthExhausted carries the resolved lower bound and the
-    residual, so the true value lies in [lower, lower + residual].
+    intervals is the quantity of interest.  The lower end is the part of
+    T^m A resolved by max_depth; the upper end adds the unresolved residual.
     """
     key = ("corr", m, A, B, max_depth)
     hit = levels._cache.get(key)
     if hit is None:
         dec = apply_power(m, A, levels, max_depth)
-        hit = (intersect_measure(dec, B, levels), dec.residual)
-        levels._cache[key] = hit
-    value, residual = hit
-    if residual:
-        raise DepthExhausted(value, residual)
-    return value
+        value = intersect_measure(dec, B, levels)
+        hit = levels._cache[key] = Enclosure(value, value + dec.residual)
+    return hit
 
 
-def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
-                       max_depth: int) -> tuple[Fraction, Fraction]:
-    """[lower, upper] enclosure of the correlation; equal when fully resolved."""
-    try:
-        v = correlation(m, A, B, levels, max_depth)
-        return v, v
-    except DepthExhausted as exc:
-        return exc.lower, exc.upper
+def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
+                max_depth: int) -> Fraction:
+    """mu(T^m A cap B), exact, or DepthExhausted carrying the enclosure."""
+    return correlation_bounds(m, A, B, levels, max_depth).exact()
 
 
 def product_correlation(powers: Sequence[int], m: int, As: Sequence[CylinderSet],
@@ -263,17 +255,10 @@ def product_correlation(powers: Sequence[int], m: int, As: Sequence[CylinderSet]
     """
     if not (len(powers) == len(As) == len(Bs)) or not powers:
         raise ValueError("powers, As, Bs must be non-empty lists of equal length")
-    lo = Fraction(1)
-    hi = Fraction(1)
-    exact = True
+    value = Enclosure(Fraction(1), Fraction(1))
     for n_i, A_i, B_i in zip(powers, As, Bs):
-        l, u = correlation_bounds(n_i * m, A_i, B_i, levels, max_depth)
-        lo *= l
-        hi *= u
-        exact = exact and (l == u)
-    if not exact:
-        raise DepthExhausted(lo, hi - lo)
-    return lo
+        value = value * correlation_bounds(n_i * m, A_i, B_i, levels, max_depth)
+    return value.exact()
 
 
 def decomposition_interval_set(dec: PieceDecomposition, level: int,

@@ -9,7 +9,6 @@ trend acceptance is left to callers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -22,27 +21,27 @@ from .cylinders import (
     correlation_bounds,
     intersect_measure,
 )
-from .errors import DepthExhausted
+from .errors import DepthExhausted, Enclosure
 from .towers import TowerLevels
 
 Pair = tuple[CylinderSet, CylinderSet]
 
 
-def sqrt_enclosure(x: Fraction, precision_bits: int = 64) -> tuple[Fraction, Fraction]:
+def sqrt_enclosure(x: Fraction, precision_bits: int = 64) -> Enclosure:
     """Exact rational [lo, hi] with lo <= sqrt(x) <= hi, hi - lo <= 2**-precision_bits."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of a negative rational")
     if x == 0:
-        return Fraction(0), Fraction(0)
+        return Enclosure(Fraction(0), Fraction(0))
     p, q = x.numerator, x.denominator
     k = max(precision_bits, 0)
     n = (p * q) << (2 * k)
     s = isqrt(n)
     lo = Fraction(s, q << k)
     if s * s == n:
-        return lo, lo
-    return lo, Fraction(s + 1, q << k)
+        return Enclosure(lo, lo)
+    return Enclosure(lo, Fraction(s + 1, q << k))
 
 
 def canonical_test_set(levels: TowerLevels) -> list[Pair]:
@@ -85,8 +84,8 @@ class StageDecay:
     stage: int
     interval: tuple[int, int]
     times: tuple[int, ...]
-    # per time: (lower, upper) exact bounds, equal when fully resolved
-    values: tuple[tuple[Fraction, Fraction], ...]
+    # per time: sup over the test set, degenerate when fully resolved
+    values: tuple[Enclosure, ...]
 
     @property
     def max_lower(self) -> Fraction:
@@ -111,13 +110,12 @@ class DecayReport:
 
 def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
                           stages: Sequence[int], samples_per_stage: int,
-                          power: int, max_depth: int, threads: int = 1,
+                          power: int, max_depth: int,
                           test_set_label: str = "custom") -> DecayReport:
     """Max correlation of T^(power * m) over sampled m in [h_n, 2 H_n).
 
-    The per-time value is the sup over the test set; DepthExhausted entries
+    The per-time value is the sup over the test set; unresolved entries
     become honest [lower, upper] intervals instead of failing the scan.
-    Output is canonical regardless of thread count.
     """
     if power == 0:
         raise ValueError("power must be non-zero")
@@ -125,23 +123,12 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     records = []
     for stage in stages:
         times = stratified_times(levels, stage, samples_per_stage)
-        tasks = [(m, A, B) for m in times for A, B in test_sets]
-
-        def work(task):
-            m, A, B = task
-            return correlation_bounds(power * m, A, B, levels, max_depth)
-
-        if threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, tasks))
-        else:
-            results = [work(t) for t in tasks]
         values = []
-        for i, m in enumerate(times):
-            chunk = results[i * len(test_sets):(i + 1) * len(test_sets)]
-            lo = max((c[0] for c in chunk), default=Fraction(0))
-            hi = max((c[1] for c in chunk), default=Fraction(0))
-            values.append((lo, hi))
+        for m in times:
+            sup = Enclosure(Fraction(0), Fraction(0))
+            for A, B in test_sets:
+                sup = sup.max(correlation_bounds(power * m, A, B, levels, max_depth))
+            values.append(sup)
         records.append(StageDecay(
             stage, (levels.h[stage], 2 * levels.bigH[stage]), tuple(times), tuple(values)
         ))
@@ -184,8 +171,8 @@ class InequalityReport:
     mu_b: Fraction
     lhs_sq: Fraction
     rhs_norm_sq: Fraction
-    lhs: tuple[Fraction, Fraction]
-    rhs: tuple[Fraction, Fraction]
+    lhs: Enclosure
+    rhs: Enclosure
     holds: bool
     decided_by: str
 
@@ -199,14 +186,12 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     lhs_sq = cesaro_norm(1, R, B, levels, max_depth)
     rhs_norm_sq = cesaro_norm(r, L, B, levels, max_depth)
     s = Fraction(r * L, R)
-    lhs_lo, lhs_hi = sqrt_enclosure(lhs_sq, precision_bits)
-    n_lo, n_hi = sqrt_enclosure(rhs_norm_sq, precision_bits)
-    m_lo, m_hi = sqrt_enclosure(mu_b, precision_bits)
-    rhs_lo = n_lo + s * m_lo
-    rhs_hi = n_hi + s * m_hi
-    if lhs_hi <= rhs_lo:
+    lhs = sqrt_enclosure(lhs_sq, precision_bits)
+    rhs = (sqrt_enclosure(rhs_norm_sq, precision_bits)
+           + s * sqrt_enclosure(mu_b, precision_bits))
+    if lhs.upper <= rhs.lower:
         holds, decided = True, "enclosure"
-    elif lhs_lo > rhs_hi:
+    elif lhs.lower > rhs.upper:
         holds, decided = False, "enclosure"
     else:
         # decide sqrt(lhs_sq) <= sqrt(rhs_norm_sq) + s sqrt(mu_b) exactly:
@@ -214,8 +199,7 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
         t = lhs_sq - rhs_norm_sq - s * s * mu_b
         holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
         decided = "exact"
-    return InequalityReport(R, L, r, mu_b, lhs_sq, rhs_norm_sq,
-                            (lhs_lo, lhs_hi), (rhs_lo, rhs_hi), holds, decided)
+    return InequalityReport(R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, rhs, holds, decided)
 
 
 @dataclass(frozen=True)
@@ -247,38 +231,25 @@ class WeakLimitTarget:
 def weak_limit_discrepancy(times: Sequence[int], target: WeakLimitTarget,
                            test_sets: Sequence[Pair], levels: TowerLevels,
                            max_depth: int) -> list[Fraction]:
-    """Per time m: sup over test pairs of |<U^m 1_A,1_B> - sum_j a_j <U^-j 1_A,1_B>|."""
-    out = []
-    for m in times:
-        sup = Fraction(0)
-        for A, B in test_sets:
-            value = correlation(m, A, B, levels, max_depth)
-            for j, a_j in target.items():
-                value -= a_j * correlation(-j, A, B, levels, max_depth)
-            sup = max(sup, abs(value))
-        out.append(sup)
-    return out
+    """Exact values of weak_limit_discrepancy_bounds, or DepthExhausted."""
+    return [e.exact() for e in
+            weak_limit_discrepancy_bounds(times, target, test_sets, levels, max_depth)]
 
 
 def weak_limit_discrepancy_bounds(times: Sequence[int], target: WeakLimitTarget,
                                   test_sets: Sequence[Pair], levels: TowerLevels,
-                                  max_depth: int) -> list[tuple[Fraction, Fraction]]:
-    """As weak_limit_discrepancy, but unresolved correlations widen the
-    result into an exact [lower, upper] enclosure instead of raising."""
+                                  max_depth: int) -> list[Enclosure]:
+    """Per time m: sup over test pairs of |<U^m 1_A,1_B> - sum_j a_j <U^-j 1_A,1_B>|,
+    as an exact enclosure widened by any unresolved correlation."""
     out = []
     for m in times:
-        sup_lo = Fraction(0)
-        sup_hi = Fraction(0)
+        sup = Enclosure(Fraction(0), Fraction(0))
         for A, B in test_sets:
-            lo, hi = correlation_bounds(m, A, B, levels, max_depth)
+            value = correlation_bounds(m, A, B, levels, max_depth)
             for j, a_j in target.items():
-                t_lo, t_hi = correlation_bounds(-j, A, B, levels, max_depth)
-                lo, hi = lo - a_j * t_hi, hi - a_j * t_lo
-            mag_hi = max(abs(lo), abs(hi))
-            mag_lo = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
-            sup_lo = max(sup_lo, mag_lo)
-            sup_hi = max(sup_hi, mag_hi)
-        out.append((sup_lo, sup_hi))
+                value = value - a_j * correlation_bounds(-j, A, B, levels, max_depth)
+            sup = sup.max(abs(value))
+        out.append(sup)
     return out
 
 

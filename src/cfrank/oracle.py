@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthExhausted
+from .errors import Enclosure
 from .towers import TowerLevels
 
 _MAX_SAFE = 1 << 60  # keep well inside int64
@@ -45,12 +45,12 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     return arr
 
 
-def oracle_correlation(m: int, a_level: int, a_points, b_level: int, b_points,
-                       levels: TowerLevels, depth: int) -> Fraction:
+def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_points,
+                              levels: TowerLevels, depth: int) -> Enclosure:
     """mu(T^m A cap B) by counting point collisions at one fixed depth.
 
-    Raises DepthExhausted with the same (lower, residual) semantics as the
-    main path when some orbit points leave the enumerated tower.
+    Orbit points that leave the enumerated tower widen the result into the
+    same [lower, upper] enclosure the main path reports at that depth.
     """
     sa = expand_points(a_level, a_points, depth, levels)
     sb = expand_points(b_level, b_points, depth, levels)
@@ -58,18 +58,13 @@ def oracle_correlation(m: int, a_level: int, a_points, b_level: int, b_points,
     shifted = sa + int(m)
     in_range = (shifted >= 0) & (shifted < h)
     hits = int(np.isin(shifted[in_range], sb, assume_unique=True).sum())
-    denom = levels.cuts_product[depth]
-    value = Fraction(hits, denom)
     lost = int((~in_range).sum())
-    if lost:
-        raise DepthExhausted(value, Fraction(lost, denom))
-    return value
+    denom = levels.cuts_product[depth]
+    return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))
 
 
-def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_points,
-                              levels: TowerLevels, depth: int) -> tuple[Fraction, Fraction]:
-    try:
-        v = oracle_correlation(m, a_level, a_points, b_level, b_points, levels, depth)
-        return v, v
-    except DepthExhausted as exc:
-        return exc.lower, exc.upper
+def oracle_correlation(m: int, a_level: int, a_points, b_level: int, b_points,
+                       levels: TowerLevels, depth: int) -> Fraction:
+    """Exact oracle value, or DepthExhausted carrying the enclosure."""
+    return oracle_correlation_bounds(m, a_level, a_points, b_level, b_points,
+                                     levels, depth).exact()

@@ -30,9 +30,8 @@ class TowerLevels:
     tower has measure 1 / cuts_product[n] under the normalization that every
     level of the initial tower has measure 1 (so mu(X_0) = h_0).
 
-    Construction data never changes after build; shared use from multiple
-    threads is safe.  The private _cache only memoizes pure results, so a
-    concurrent duplicate computation is at worst wasted work.
+    Construction data never changes after build.  The private _cache only
+    memoizes pure results.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

@@ -140,6 +140,26 @@ def test_spectrum_csv(sched_path, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+@pytest.mark.parametrize("command", [
+    ["cesaro", "--k", "5", "--l", "6"],
+    ["inequality", "--R", "20", "--L", "2", "--r", "5"],
+    ["spectrum", "--max-m", "30"],
+])
+def test_exact_value_commands_exit_4_on_unresolved_depth(command, strict, tmp_path, capsys):
+    sched = tmp_path / "r3z1.json"
+    sched.write_text(json.dumps({**SCHED, "z": {"kind": "const", "value": "1"}}))
+    out = tmp_path / "x.out"
+    code, text = run_main(
+        command + ["--schedule", str(sched), "--depth", "2", "--max-depth", "2",
+                   "--cylinder", '{"level": 1, "intervals": [["0", "1"]]}'] + strict,
+        out,
+    )
+    assert code == 4
+    assert text == ""
+    assert "[0, 1/9] is unresolved at max depth 2" in capsys.readouterr().err
+
+
 def test_poisson_mult_commands(tmp_path):
     out = tmp_path / "p.json"
     code, text = run_main(["poisson-mult", "--kind", "symmetric-square", "--n-max", "5"], out)

@@ -23,6 +23,7 @@ from cfrank import (
 from cfrank.errors import DepthExhausted
 from cfrank.mixing import outside_proof_window, weak_limit_discrepancy_bounds
 from cfrank.oracle import oracle_correlation_bounds
+from cfrank.reports import canonical_json, decay_report_json
 
 
 def pts(level, *points):
@@ -109,12 +110,15 @@ def test_scan_transpose_symmetry(levels_r3_zramp):
             assert flo == blo
 
 
-def test_scan_threads_give_identical_report(levels_r3_zramp):
-    lv = levels_r3_zramp
-    tests = canonical_test_set(lv)[:12]
-    one = scan_mixing_intervals(lv, tests, [0, 1], 6, 1, 4, threads=1)
-    four = scan_mixing_intervals(lv, tests, [0, 1], 6, 1, 4, threads=4)
-    assert one == four
+def test_scan_repeated_runs_give_identical_report(sched_r3_zramp):
+    reports = []
+    for _ in range(2):
+        lv = build_levels(sched_r3_zramp, 5)
+        reports.append(scan_mixing_intervals(lv, canonical_test_set(lv)[:12],
+                                             [0, 1], 6, 1, 4))
+    one, two = reports
+    assert one == two
+    assert canonical_json(decay_report_json(one)) == canonical_json(decay_report_json(two))
 
 
 def test_adams_regime_trend_oracle():
@@ -227,6 +231,19 @@ def test_weak_limit_propagates_depth_exhausted(levels_r3_zramp):
     with pytest.raises(DepthExhausted):
         weak_limit_discrepancy([8], WeakLimitTarget.identity(),
                                [(b, b)], levels_r3_zramp, 2)
+
+
+def test_weak_limit_bounds_negative_coefficient(sched_r3z1):
+    """|corr(-10) + corr(25)| with corr(-10) in [1/9, 2/9] and corr(25) in
+    [0, 2/9] at max depth 2: the enclosure is [1/9, 4/9] and holds the
+    depth-6 enclosure of the same quantity."""
+    lv = build_levels(sched_r3z1, 6)
+    a = pts(1, 0)
+    target = WeakLimitTarget({-25: -1})
+    (shallow,) = weak_limit_discrepancy_bounds([-10], target, [(a, a)], lv, 2)
+    assert shallow == (Fraction(1, 9), Fraction(4, 9))
+    (deep,) = weak_limit_discrepancy_bounds([-10], target, [(a, a)], lv, 6)
+    assert shallow.lower <= deep.lower <= deep.upper <= shallow.upper
 
 
 def test_partially_high_weak_limit_coefficient(levels_partial):
