@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Enclosure
+from .errors import DepthUnavailable, Enclosure
 from .towers import TowerLevels
 
 _MAX_SAFE = 1 << 60  # keep well inside int64
@@ -36,6 +36,10 @@ def _check_depth(levels: TowerLevels, depth: int):
 def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) -> np.ndarray:
     """All unit levels of the depth-`to_level` tower inside the cylinder."""
     _check_depth(levels, to_level)
+    if to_level < cyl_level:
+        raise DepthUnavailable(
+            f"cannot expand a stage-{cyl_level} cylinder at shallower stage {to_level}"
+        )
     pts = sorted(int(p) for p in points)
     arr = np.asarray(pts, dtype=np.int64)
     for n in range(cyl_level, to_level):

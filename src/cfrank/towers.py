@@ -31,7 +31,12 @@ class TowerLevels:
     level of the initial tower has measure 1 (so mu(X_0) = h_0).
 
     Construction data never changes after build.  The private _cache only
-    memoizes pure results.
+    memoizes pure results of the correlation kernel (cylinders.py):
+    ("corr", m, A, B, max_depth) holds a finished enclosure, which the
+    averaging grid asks for again and again, and ("diff", A, B) holds a
+    pair's difference counts E(n, t), which depend on neither m nor the
+    depth budget and so serve a whole scan over m.  Neither is bounded;
+    both live as long as the TowerLevels.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

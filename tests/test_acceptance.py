@@ -252,7 +252,7 @@ def test_criterion_9_measure_divergence_diagnostic(_clock):
     _report(9, "measure divergence diagnostic", _clock())
 
 
-def test_criterion_10_cli_reproducibility(tmp_path, monkeypatch, _clock):
+def test_criterion_10_cli_reproducibility(tmp_path, _clock):
     sched_doc = {
         "name": "c10", "h0": "1",
         "r": {"kind": "const", "value": "3"},
@@ -288,9 +288,8 @@ def test_criterion_10_cli_reproducibility(tmp_path, monkeypatch, _clock):
     }
     for name, argv in commands.items():
         outputs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("CFRANK_THREADS", threads)
-            out = tmp_path / f"{name}-{threads}-{len(outputs)}.out"
+        for run in range(3):
+            out = tmp_path / f"{name}-{run}.out"
             code = cli_main(argv + ["--out", str(out)])
             assert code == 0, name
             outputs.append(out.read_bytes())

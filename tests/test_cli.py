@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -225,7 +224,6 @@ def test_module_entry_point(sched_path, tmp_path):
         [sys.executable, "-m", "cfrank", "build", "--schedule", sched_path,
          "--depth", "1", "--out", str(out)],
         capture_output=True, text=True,
-        env={**os.environ, "CFRANK_THREADS": "2"},
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["h"] == ["1", "9"]

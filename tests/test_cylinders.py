@@ -20,6 +20,7 @@ from cfrank import (
 )
 from cfrank.errors import DepthExhausted, DepthUnavailable
 from cfrank.intervals import IntervalSet
+from cfrank.oracle import oracle_correlation_bounds
 
 
 def pts(level, *points):
@@ -215,6 +216,57 @@ def test_correlation_bounded_by_measures(a_pts, b_pts, m):
     b = pts(1, *b_pts)
     lo, hi = correlation_bounds(m, a, b, lv, 4)
     assert 0 <= lo <= min(a.measure(lv), b.measure(lv)) + (hi - lo)
+
+
+# ------------------------------------------------------ correlation kernel
+
+@st.composite
+def kernel_cases(draw):
+    """Cylinders at mixed stages with up to three intervals each, a budget
+    that may be shallower than B, and shifts of either sign."""
+    sched = Schedule("k", draw(st.integers(1, 3)), const(draw(st.integers(2, 3))),
+                     const(draw(st.integers(0, 2))))
+    levels = build_levels(sched, 6)
+
+    def cylinder():
+        level = draw(st.integers(0, 4))
+        h = levels.h[level]
+        spans = draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(1, h)),
+                              min_size=1, max_size=3))
+        return CylinderSet.from_pairs(level, [(a, min(h, a + w)) for a, w in spans])
+
+    A, B = cylinder(), cylinder()
+    max_depth = draw(st.integers(A.level + 1, 5))
+    m = draw(st.integers(-2 * levels.h[max_depth], 2 * levels.h[max_depth]))
+    return levels, A, B, m, max_depth
+
+
+@settings(max_examples=150)
+@given(kernel_cases())
+def test_kernel_matches_piece_decomposition(case):
+    levels, A, B, m, max_depth = case
+    dec = apply_power(m, A, levels, max_depth)
+    value = intersect_measure(dec, B, levels)
+    assert correlation_bounds(m, A, B, levels, max_depth) == (value, value + dec.residual)
+
+
+@settings(max_examples=100)
+@given(kernel_cases())
+def test_enclosure_contains_oracle_one_stage_deeper(case):
+    levels, A, B, m, max_depth = case
+    depth = max(max_depth + 1, B.level)
+    lo, hi = correlation_bounds(m, A, B, levels, max_depth)
+    o_lo, o_hi = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
+                                           B.level, list(B.levels_set.points()),
+                                           levels, depth)
+    assert lo <= o_lo <= o_hi <= hi
+
+
+def test_kernel_cylinder_deeper_than_max_depth():
+    lv = build_levels(Schedule("t", 1, const(3), const(1)), 5)
+    A, B = pts(0, 0), pts(3, 5)
+    assert correlation_bounds(5, A, B, lv, 1) == (Fraction(1, 27), Fraction(10, 27))
+    assert correlation(5, A, B, lv, 2) == Fraction(1, 27)
 
 
 def test_product_correlation(levels_r3_zramp):

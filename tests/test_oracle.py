@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfrank import CylinderSet, Schedule, build_levels, const, correlation_bounds, refine
-from cfrank.errors import DepthExhausted
+from cfrank.errors import DepthExhausted, DepthUnavailable
 from cfrank.oracle import expand_points, oracle_correlation, oracle_correlation_bounds
 
 
@@ -45,3 +45,14 @@ def test_oracle_depth_guard():
     lv = build_levels(Schedule("big", 10**17, const(2), const(0)), 10)
     with pytest.raises(ValueError):
         expand_points(0, [0], 10, lv)
+
+
+def test_oracle_rejects_depth_shallower_than_a_cylinder():
+    # expanding "down" to a shallower stage used to return the stage-3
+    # points as if they were stage-1 points: [1/3, 2/3] instead of 1/27
+    lv = build_levels(Schedule("t", 1, const(3), const(1)), 5)
+    with pytest.raises(DepthUnavailable):
+        expand_points(3, [5], 1, lv)
+    with pytest.raises(DepthUnavailable):
+        oracle_correlation_bounds(5, 0, [0], 3, [5], lv, 1)
+    assert oracle_correlation(5, 0, [0], 3, [5], lv, 3) == Fraction(1, 27)
