@@ -3,7 +3,8 @@
 Subcommands: build, scan-mixing, weak-limits, cesaro, inequality,
 spectrum, poisson-mult, concat.  Every command is a deterministic function
 of its config: identical invocations produce byte-identical reports, and
-each JSON report embeds the resolved config it was produced from.
+each JSON report embeds its config, the parsed options minus the ones that
+only shape the output (--out, --format, --decimal, --strict).
 
 Exit codes: 0 success, 2 config/parse error, 3 schedule invariant
 violation, 4 unresolved depth: with --strict for the commands that report
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import reports
 from .cylinders import CylinderSet
-from .errors import CFRankError, DepthExhausted, InvalidSchedule, OffsetOverlap
+from .errors import CFRankError, DepthExhausted, InvalidSchedule
 from .intervals import IntervalSet
 from .mixing import (
     WeakLimitTarget,
@@ -77,13 +78,6 @@ def parse_cylinder(doc) -> CylinderSet:
     return CylinderSet(level, IntervalSet.from_pairs(pairs))
 
 
-def cylinder_json(cyl: CylinderSet) -> dict:
-    return {
-        "level": cyl.level,
-        "intervals": [[str(a), str(b)] for a, b in cyl.levels_set.intervals],
-    }
-
-
 def _parse_tests(raw: str, levels) -> tuple[list, str]:
     if raw == "canonical":
         return canonical_test_set(levels), "canonical"
@@ -110,8 +104,15 @@ def _write(text: str, out: str):
             fh.write(text)
 
 
-def _bounds_json(lo: Fraction, hi: Fraction) -> dict:
-    return {"value": reports.frac_json(lo), "residual": reports.frac_json(hi - lo)}
+# the command's handler and the options that only shape the output
+_NOT_CONFIG = ("fn", "out", "format", "decimal", "strict")
+
+
+def _config(args, **overrides) -> dict:
+    """The parsed options a report is a function of, as the report embeds them."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config.update(overrides)
+    return config
 
 
 # ---------------------------------------------------------------- commands
@@ -121,8 +122,7 @@ def cmd_build(args) -> int:
     sched = schedule_from_json(doc)
     levels = build_levels(sched, args.depth)
     report = {
-        "config": {"command": "build", "schedule": doc, "depth": args.depth,
-                   "growth_threshold": str(args.growth_threshold)},
+        "config": _config(args, schedule=doc),
         "name": sched.name,
         "depth": levels.depth,
         "h": [str(x) for x in levels.h],
@@ -169,11 +169,7 @@ def cmd_scan_mixing(args) -> int:
         text = reports.decay_report_csv(report, decimal=args.decimal)
     else:
         body = reports.decay_report_json(report)
-        body["config"] = {
-            "command": "scan-mixing", "schedule": doc, "depth": args.depth,
-            "max_depth": args.max_depth, "stages": args.stages,
-            "samples": args.samples, "power": args.power, "tests": args.tests,
-        }
+        body["config"] = _config(args, schedule=doc)
         text = reports.canonical_json(body)
     _write(text, args.out)
     if unresolved and args.strict:
@@ -193,14 +189,12 @@ def cmd_weak_limits(args) -> int:
     bounds = weak_limit_discrepancy_bounds(times, target, tests, levels, args.max_depth)
     unresolved = any(lo != hi for lo, hi in bounds)
     rows = [
-        {"m": str(m), "discrepancy": _bounds_json(lo, hi)}
+        {"m": str(m), "discrepancy": reports.enclosure_json(lo, hi)}
         for m, (lo, hi) in zip(times, bounds)
     ]
     body = {
-        "config": {"command": "weak-limits", "schedule": doc, "depth": args.depth,
-                   "max_depth": args.max_depth, "times": args.times,
-                   "target": {str(j): str(a) for j, a in target.items()},
-                   "tests": args.tests},
+        "config": _config(args, schedule=doc,
+                          target={str(j): str(a) for j, a in target.items()}),
         "target": {str(j): reports.frac_json(a) for j, a in target.items()},
         "test_set": label,
         "outside_proof_window": any(outside_proof_window(p, levels) for p in tests),
@@ -217,9 +211,7 @@ def cmd_cesaro(args) -> int:
     B = parse_cylinder(_load_json_arg(args.cylinder))
     value = cesaro_norm(args.k, args.l, B, levels, args.max_depth)
     body = {
-        "config": {"command": "cesaro", "schedule": doc, "depth": args.depth,
-                   "max_depth": args.max_depth, "k": args.k, "l": args.l,
-                   "cylinder": args.cylinder},
+        "config": _config(args, schedule=doc),
         "squared_norm": reports.frac_json(value),
     }
     _write(reports.canonical_json(body), args.out)
@@ -232,9 +224,7 @@ def cmd_inequality(args) -> int:
     rep = check_averaging_inequality(args.R, args.L, args.r, B, levels,
                                      args.max_depth)
     body = {
-        "config": {"command": "inequality", "schedule": doc, "depth": args.depth,
-                   "max_depth": args.max_depth, "R": args.R, "L": args.L,
-                   "r": args.r, "cylinder": args.cylinder},
+        "config": _config(args, schedule=doc),
         "mu_B": reports.frac_json(rep.mu_b),
         "lhs_squared": reports.frac_json(rep.lhs_sq),
         "rhs_norm_squared": reports.frac_json(rep.rhs_norm_sq),
@@ -255,9 +245,7 @@ def cmd_spectrum(args) -> int:
         text = reports.spectral_csv(seq, decimal=args.decimal)
     else:
         text = reports.canonical_json({
-            "config": {"command": "spectrum", "schedule": doc, "depth": args.depth,
-                       "max_depth": args.max_depth, "max_m": args.max_m,
-                       "cylinder": args.cylinder},
+            "config": _config(args, schedule=doc),
             "values": {str(m): reports.frac_json(v) for m, v in sorted(seq.values.items())},
         })
     _write(text, args.out)
@@ -270,8 +258,7 @@ def cmd_poisson_mult(args) -> int:
     else:
         values = exp_multiplicities_identity_product(args.p, args.n_max)
     body = {
-        "config": {"command": "poisson-mult", "kind": args.kind,
-                   "p": args.p, "n_max": args.n_max},
+        "config": _config(args),
         "multiplicities": [str(v) for v in values],
         "note": "conditional on the simple-spectrum hypothesis for the exp operator",
     }
@@ -281,17 +268,18 @@ def cmd_poisson_mult(args) -> int:
 
 # ---------------------------------------------------------------- plumbing
 
-def _add_common(p, depth=True):
+def _add_common(p, max_depth=True, csv=False):
     p.add_argument("--schedule", required=True, help="path to a schedule JSON file")
-    if depth:
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--max-depth", type=int, dest="max_depth")
+    p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--decimal", action="store_true",
-                   help="add a 30-significant-digit decimal column to CSV output")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 4 when any entry is unresolved at max depth")
+    if max_depth:
+        p.add_argument("--max-depth", type=int, dest="max_depth")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 4 when any entry is unresolved at max depth")
+    if csv:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--decimal", action="store_true",
+                       help="add a 30-significant-digit decimal column to CSV output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="materialize levels and report measures/growth")
-    _add_common(p)
+    _add_common(p, max_depth=False)
     p.add_argument("--growth-threshold", default="1")
     p.set_defaults(fn=cmd_build)
 
@@ -310,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_concat)
 
     p = sub.add_parser("scan-mixing", help="correlation decay over [h_n, 2 H_n)")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--stages", required=True, help="'a:b' half-open or comma list")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--power", type=int, default=1)
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inequality)
 
     p = sub.add_parser("spectrum", help="autocorrelation sequence of an indicator")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--cylinder", required=True)
     p.add_argument("--max-m", type=int, required=True, dest="max_m")
     p.set_defaults(fn=cmd_spectrum)
@@ -363,7 +351,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if getattr(args, "max_depth", None) is None and hasattr(args, "depth"):
+    if hasattr(args, "max_depth") and args.max_depth is None:
         args.max_depth = args.depth
     try:
         return args.fn(args)
@@ -375,7 +363,7 @@ def main(argv=None) -> int:
         print(f"cfrank: a correlation in [{lo}, {hi}] is unresolved at max depth "
               f"{args.max_depth}; raise --max-depth", file=sys.stderr)
         return EXIT_DEPTH
-    except (InvalidSchedule, OffsetOverlap) as exc:
+    except InvalidSchedule as exc:
         print(f"cfrank: invalid schedule: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except CFRankError as exc:

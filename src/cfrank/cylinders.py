@@ -20,7 +20,7 @@ measure, never silently dropped.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -69,7 +69,6 @@ class PieceDecomposition:
     pieces: tuple[CylinderSet, ...]
     residual: Fraction = Fraction(0)
     residual_level: int | None = None
-    residual_set: IntervalSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
         by_level: dict[int, IntervalSet] = {}
@@ -126,7 +125,6 @@ def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
     current = cyl.levels_set
     residual = Fraction(0)
     residual_level = None
-    residual_set = None
     while current:
         h = levels.h[level]
         inside = current.clip(-m, h - m)
@@ -138,11 +136,10 @@ def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
         if level == max_depth:
             residual = Fraction(rest.cardinality, levels.cuts_product[level])
             residual_level = level
-            residual_set = rest
             break
         current = rest.translate_by_offsets(levels.offsets[level])
         level += 1
-    return PieceDecomposition(_canonical_pieces(pieces), residual, residual_level, residual_set)
+    return PieceDecomposition(_canonical_pieces(pieces), residual, residual_level)
 
 
 class _Refinement:

@@ -1,14 +1,19 @@
 """Sorted disjoint half-open integer intervals with exact endpoints.
 
 Subsets of a tower stage are unions of level ranges; translation,
-refinement by offset sets, and intersection all preserve that structure,
-so intervals (not bitsets) are the working representation.  Endpoints are
-Python ints and may be arbitrarily large.
+refinement by offset sets, clipping and difference all preserve that
+structure, so intervals (not bitsets) are the working representation.
+Endpoints are Python ints and may be arbitrarily large.
+
+Every result that can come out overlapping or adjacent (from_pairs,
+from_points, union, translate_by_offsets) goes through one normalizer,
+_normalize.  Its sort merges already-sorted runs in linear time, and the
+operands of a union and the copies of a set at increasing offsets are
+such runs.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,17 +22,6 @@ def _normalize(pairs) -> tuple[tuple[int, int], ...]:
     pairs = sorted((int(a), int(b)) for a, b in pairs if a < b)
     out: list[tuple[int, int]] = []
     for a, b in pairs:
-        if out and a <= out[-1][1]:
-            if b > out[-1][1]:
-                out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return tuple(out)
-
-
-def _merge_sorted(runs: list[list[tuple[int, int]]]) -> tuple[tuple[int, int], ...]:
-    out: list[tuple[int, int]] = []
-    for a, b in heapq.merge(*runs):
         if out and a <= out[-1][1]:
             if b > out[-1][1]:
                 out[-1] = (out[-1][0], b)
@@ -49,10 +43,6 @@ class IntervalSet:
     @staticmethod
     def from_points(points: Iterable[int]) -> "IntervalSet":
         return IntervalSet(_normalize((p, p + 1) for p in points))
-
-    @staticmethod
-    def single(a: int, b: int) -> "IntervalSet":
-        return IntervalSet(((a, b),) if a < b else ())
 
     @property
     def cardinality(self) -> int:
@@ -93,21 +83,6 @@ class IntervalSet:
             out.append((max(a, lo), min(b, hi)))
         return IntervalSet(tuple(p for p in out if p[0] < p[1]))
 
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        xs, ys = self.intervals, other.intervals
-        i = j = 0
-        out = []
-        while i < len(xs) and j < len(ys):
-            a = max(xs[i][0], ys[j][0])
-            b = min(xs[i][1], ys[j][1])
-            if a < b:
-                out.append((a, b))
-            if xs[i][1] <= ys[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
-
     def intersection_cardinality(self, other: "IntervalSet") -> int:
         xs, ys = self.intervals, other.intervals
         i = j = 0
@@ -124,11 +99,7 @@ class IntervalSet:
         return total
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        if not self.intervals:
-            return other
-        if not other.intervals:
-            return self
-        return IntervalSet(_merge_sorted([list(self.intervals), list(other.intervals)]))
+        return IntervalSet(_normalize(self.intervals + other.intervals))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         if not other.intervals or not self.intervals:
@@ -155,16 +126,8 @@ class IntervalSet:
 
     def translate_by_offsets(self, offsets: Iterable[int]) -> "IntervalSet":
         """Union of self + c over all offsets c (the refinement step)."""
-        offsets = list(offsets)
-        if not offsets or not self.intervals:
-            return IntervalSet() if not offsets else self
-        if len(offsets) == 1:
-            return self.shift(offsets[0])
-        runs = [[(a + c, b + c) for a, b in self.intervals] for c in offsets]
-        return IntervalSet(_merge_sorted(runs))
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return self.intersection_cardinality(other) == self.cardinality
+        return IntervalSet(_normalize((a + c, b + c) for c in offsets
+                                      for a, b in self.intervals))
 
     def within(self, lo: int, hi: int) -> bool:
         return not self.intervals or (self.min() >= lo and self.max() < hi)

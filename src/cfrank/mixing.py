@@ -58,6 +58,7 @@ def stratified_times(levels: TowerLevels, stage: int, count: int) -> list[int]:
     endpoints and H_n are always included, and the remaining quota is an
     even grid over the two strata [h_n, H_n) and [H_n, 2 H_n).
     """
+    levels.require_depth(stage)
     levels.require_depth(stage + 1)
     lo = levels.h[stage]
     H = levels.bigH[stage]

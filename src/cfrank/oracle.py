@@ -49,6 +49,7 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     ValueError.  The result is a strictly increasing int64 array.
     """
     _check_depth(levels, to_level)
+    levels.require_depth(cyl_level)
     if to_level < cyl_level:
         raise DepthUnavailable(
             f"cannot expand a stage-{cyl_level} cylinder at shallower stage {to_level}"

@@ -26,6 +26,11 @@ def frac_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     return str(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)))
 
 
+def enclosure_json(lo: Fraction, hi: Fraction) -> dict:
+    """An enclosure [lo, hi] as its exact lower end plus the residual hi - lo."""
+    return {"value": frac_json(lo), "residual": frac_json(hi - lo)}
+
+
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
@@ -68,11 +73,7 @@ def decay_report_json(report) -> dict:
                 "stage": s.stage,
                 "interval": [str(s.interval[0]), str(s.interval[1])],
                 "entries": [
-                    {
-                        "m": str(m),
-                        "value": frac_json(lo),
-                        "residual": frac_json(hi - lo),
-                    }
+                    {"m": str(m), **enclosure_json(lo, hi)}
                     for m, (lo, hi) in zip(s.times, s.values)
                 ],
                 "max_lower": frac_json(s.max_lower),

@@ -55,6 +55,8 @@ class TowerLevels:
         self._cache = {}
 
     def require_depth(self, level: int):
+        if level < 0:
+            raise ValueError(f"stage {level} is negative")
         if level > self.depth:
             raise DepthUnavailable(
                 f"level {level} requested but only {self.depth} stages materialized"

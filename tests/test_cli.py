@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ SCHED = {
 }
 CYL = '{"level": 0, "intervals": [["0", "1"]]}'
 PAIR = '[[{"level":0,"intervals":[["0","1"]]},{"level":0,"intervals":[["0","1"]]}]]'
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -159,6 +162,39 @@ def test_exact_value_commands_exit_4_on_unresolved_depth(command, strict, tmp_pa
     assert "[0, 1/9] is unresolved at max depth 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--max-m", "2", "--cylinder", '{"level": -2, "intervals": [["0", "1"]]}'],
+    ["scan-mixing", "--stages=-2:0", "--samples", "2"],
+])
+def test_negative_stage_exit_2(command, tmp_path, capsys):
+    sched = tmp_path / "r3z1.json"
+    sched.write_text(json.dumps({**SCHED, "z": {"kind": "const", "value": "1"}}))
+    code, text = run_main(command + ["--schedule", str(sched), "--depth", "3"],
+                          tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert "stage -2 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    (["build"], ["--max-depth", "3"]),
+    (["build"], ["--format", "csv"]),
+    (["build"], ["--decimal"]),
+    (["build"], ["--strict"]),
+    (["weak-limits", "--times", "1", "--target", '{"0": "1/3"}'], ["--format", "csv"]),
+    (["cesaro", "--k", "2", "--l", "2", "--cylinder", CYL], ["--decimal"]),
+    (["inequality", "--R", "6", "--L", "2", "--r", "2", "--cylinder", CYL],
+     ["--format", "json"]),
+])
+def test_options_a_command_does_not_read_exit_2(command, option, sched_path, tmp_path):
+    out = tmp_path / "x.out"
+    argv = command + ["--schedule", sched_path, "--depth", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    out.unlink()
+    assert main(argv + option + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_poisson_mult_commands(tmp_path):
     out = tmp_path / "p.json"
     code, text = run_main(["poisson-mult", "--kind", "symmetric-square", "--n-max", "5"], out)
@@ -220,10 +256,11 @@ def test_report_embeds_rerunnable_config(sched_path, tmp_path):
 
 def test_module_entry_point(sched_path, tmp_path):
     out = tmp_path / "r.json"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cfrank", "build", "--schedule", sched_path,
          "--depth", "1", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["h"] == ["1", "9"]

@@ -115,9 +115,12 @@ def test_measure_preservation_randomized(levels_r3_zramp):
 def test_group_law_on_resolvable_inputs(levels_r3_zramp):
     lv = levels_r3_zramp
     rng = random.Random(5)
-    for _ in range(25):
-        a = pts(0, *rng.sample(range(lv.h[0]), k=1))
-        a = pts(1, *rng.sample(range(lv.h[1]), k=3))
+    checked = {0: 0, 1: 0}
+    for i in range(25):
+        if i % 2 == 0:
+            a = pts(0, *rng.sample(range(lv.h[0]), k=1))
+        else:
+            a = pts(1, *rng.sample(range(lv.h[1]), k=3))
         m1 = rng.randint(-6, 6)
         m2 = rng.randint(-6, 6)
         direct = apply_power(m1 + m2, a, lv, 4)
@@ -135,6 +138,8 @@ def test_group_law_on_resolvable_inputs(levels_r3_zramp):
         if not ok:
             continue
         assert union == decomposition_interval_set(direct, 4, lv)
+        checked[a.level] += 1
+    assert checked[0] and checked[1], checked
 
 
 # ------------------------------------------------- intersection / correlation
@@ -284,3 +289,18 @@ def test_product_correlation(levels_r3_zramp):
 def test_validation_rejects_out_of_range(levels_r3_zramp):
     with pytest.raises(ValueError):
         pts(0, 5).validate(levels_r3_zramp)
+
+
+def test_negative_stage_rejected(levels_r3z1):
+    lv = levels_r3z1
+    neg = pts(-1, 0)
+    with pytest.raises(ValueError, match="negative"):
+        correlation_bounds(0, neg, pts(0, 0), lv, 2)
+    with pytest.raises(ValueError, match="negative"):
+        correlation_bounds(0, pts(0, 0), neg, lv, 2)
+    with pytest.raises(ValueError, match="negative"):
+        refine(neg, 0, lv)
+    with pytest.raises(ValueError, match="negative"):
+        refine(pts(0, 0), -1, lv)
+    with pytest.raises(ValueError, match="negative"):
+        neg.measure(lv)

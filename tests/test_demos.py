@@ -8,10 +8,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# demo 03 (a ~15 s scan) is left out; criterion 5 covers its library path
 @pytest.mark.parametrize("demo", [
     "01_build_a_high_staircase.py",
     "02_cylinder_algebra.py",
+    "03_mixing_decay_scan.py",
     "04_weak_limits_and_averages.py",
     "05_spectra_and_poisson_multiplicities.py",
     "06_concatenated_schedules.py",

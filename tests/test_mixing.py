@@ -56,6 +56,12 @@ def test_stratified_times_small_interval(levels_r3_zramp):
     assert stratified_times(levels_r3_zramp, 0, 8) == [1, 2, 3]
 
 
+def test_stratified_times_rejects_negative_stage(levels_r3_zramp):
+    # h[-1] would be the deepest stage's height
+    with pytest.raises(ValueError, match="negative"):
+        stratified_times(levels_r3_zramp, -1, 4)
+
+
 def test_stratified_times_anchors_and_determinism(levels_r3_zramp):
     lv = levels_r3_zramp
     times = stratified_times(lv, 2, 8)

@@ -179,3 +179,9 @@ def test_expand_points_rejects_overlapping_copies(sched_r3z1):
                      cuts_product=[1, 2], r=[2, 2], z=[0], d=[0])
     with pytest.raises(OffsetOverlap):
         expand_points(0, [0, 1, 2], 1, lv)
+
+
+def test_expand_points_rejects_negative_stage(levels_r3z1):
+    # h[-1] / offsets[-1] would index from the deep end of the tower
+    with pytest.raises(ValueError, match="negative"):
+        expand_points(-1, [0], 0, levels_r3z1)
