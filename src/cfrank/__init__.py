@@ -15,7 +15,6 @@ from .cylinders import (
     apply_power,
     correlation,
     correlation_bounds,
-    decomposition_interval_set,
     intersect_measure,
     product_correlation,
     refine,
@@ -99,7 +98,6 @@ __all__ = [
     "const",
     "correlation",
     "correlation_bounds",
-    "decomposition_interval_set",
     "expand_points",
     "explicit",
     "exp_multiplicities_identity_product",

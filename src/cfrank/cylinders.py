@@ -293,25 +293,20 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     result equals intersect_measure(apply_power(m, A, ...), B, ...) plus
     that decomposition's residual.
     """
-    key = ("corr", m, A, B, max_depth)
-    hit = levels._cache.get(key)
-    if hit is None:
-        _require_room(A, levels, max_depth)
-        B.validate(levels)
-        pair_key = ("diff", A, B)
-        kernel = levels._cache.get(pair_key)
-        if kernel is None:
-            kernel = levels._cache[pair_key] = _DifferenceCounts(A, B)
-        n, a = max_depth, kernel.a
-        if B.level <= n:
-            hits, stage = kernel.count(levels, n, m), n
-        else:
-            hits, stage = a.count_in(levels, n, _shadows(levels, B, n), -m), B.level
-        lost = a.size_at(levels, n) - a.count_in(levels, n, ((0, levels.h[n]),), -m)
-        value = Fraction(hits, levels.cuts_product[stage])
-        residual = Fraction(lost, levels.cuts_product[n])
-        hit = levels._cache[key] = Enclosure(value, value + residual)
-    return hit
+    _require_room(A, levels, max_depth)
+    B.validate(levels)
+    pair_key = ("diff", A, B)
+    kernel = levels._cache.get(pair_key)
+    if kernel is None:
+        kernel = levels._cache[pair_key] = _DifferenceCounts(A, B)
+    n, a = max_depth, kernel.a
+    if B.level <= n:
+        hits, stage = kernel.count(levels, n, m), n
+    else:
+        hits, stage = a.count_in(levels, n, _shadows(levels, B, n), -m), B.level
+    lost = a.size_at(levels, n) - a.count_in(levels, n, ((0, levels.h[n]),), -m)
+    value = Fraction(hits, levels.cuts_product[stage])
+    return Enclosure(value, value + Fraction(lost, levels.cuts_product[n]))
 
 
 def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
@@ -336,11 +331,3 @@ def product_correlation(powers: Sequence[int], m: int, As: Sequence[CylinderSet]
         value = value * correlation_bounds(n_i * m, A_i, B_i, levels, max_depth)
     return value.exact()
 
-
-def decomposition_interval_set(dec: PieceDecomposition, level: int,
-                               levels: TowerLevels) -> IntervalSet:
-    """Union of all pieces re-expressed at one common stage (for comparisons)."""
-    out = IntervalSet()
-    for p in dec.pieces:
-        out = out.union(refine(p, level, levels).levels_set)
-    return out

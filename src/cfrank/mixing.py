@@ -136,24 +136,63 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     return DecayReport(power, test_set_label, samples_per_stage, tuple(records))
 
 
+class _CesaroSeries:
+    """Every Cesaro norm of one (k, B, max_depth), from running sums S0, S1.
+
+    Lengths are finished in increasing order (see cesaro_norm), so the
+    first unresolved c_p raises DepthExhausted for every longer average
+    and leaves the shorter ones intact.
+    """
+
+    __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
+
+    def __init__(self, k: int, B: CylinderSet, levels: TowerLevels, max_depth: int):
+        self.k, self.B, self.max_depth = k, B, max_depth
+        self.s0 = self.s1 = Fraction(0)
+        self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
+        self.roots: dict[tuple[int, int], Enclosure] = {}
+
+    def norm(self, levels: TowerLevels, l: int) -> Fraction:
+        while len(self.norms) < l:
+            p = len(self.norms)
+            c = correlation(p * self.k, self.B, self.B, levels, self.max_depth)
+            self.s0 += c
+            self.s1 += p * c
+            n = p + 1
+            self.norms.append(Fraction(self.norms[0], n)
+                              + Fraction(2 * (n * self.s0 - self.s1), n * n))
+        return self.norms[l - 1]
+
+    def root(self, levels: TowerLevels, l: int, precision_bits: int) -> Enclosure:
+        key = (l, precision_bits)
+        if key not in self.roots:
+            self.roots[key] = sqrt_enclosure(self.norm(levels, l), precision_bits)
+        return self.roots[key]
+
+
+def _cesaro_series(k: int, B: CylinderSet, levels: TowerLevels,
+                   max_depth: int) -> _CesaroSeries:
+    key = ("cesaro", k, B, max_depth)
+    series = levels._cache.get(key)
+    if series is None:
+        series = levels._cache[key] = _CesaroSeries(k, B, levels, max_depth)
+    return series
+
+
 def cesaro_norm(k: int, l: int, B: CylinderSet, levels: TowerLevels,
                 max_depth: int) -> Fraction:
     """Exact squared norm of the Cesaro average (1/l) sum_{i<l} U^{-ik} 1_B.
 
-    Expands to mu(B)/l + (1/l^2) sum_{i != j} mu(T^{(i-j)k} B cap B); the
-    negative differences are folded in by the symmetry
-    mu(T^{-p} B cap B) = mu(T^{p} B cap B).
+    Expands to mu(B)/l + (1/l^2) sum_{i != j} mu(T^{(i-j)k} B cap B).  By
+    the symmetry mu(T^{-p} B cap B) = mu(T^{p} B cap B), with l - p pairs
+    at each |i - j| = p, the cross sum is 2 (l S0(l) - S1(l)), where
+    c_p = mu(T^{pk} B cap B), S0(l) = sum_{0<p<l} c_p and
+    S1(l) = sum_{0<p<l} p c_p.  One series per (k, B, max_depth) is kept
+    on the TowerLevels and serves every length.
     """
     if l < 1:
         raise ValueError("average length l must be >= 1")
-    mu_b = B.measure(levels)
-    total = Fraction(mu_b, l)
-    if l == 1:
-        return total
-    cross = Fraction(0)
-    for p in range(1, l):
-        cross += 2 * (l - p) * correlation(p * k, B, B, levels, max_depth)
-    return total + Fraction(cross, l * l)
+    return _cesaro_series(k, B, levels, max_depth).norm(levels, l)
 
 
 @dataclass(frozen=True)
@@ -183,13 +222,16 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
                                precision_bits: int = 64) -> InequalityReport:
     if min(R, L, r) < 1:
         raise ValueError("R, L, r must all be >= 1")
-    mu_b = B.measure(levels)
-    lhs_sq = cesaro_norm(1, R, B, levels, max_depth)
-    rhs_norm_sq = cesaro_norm(r, L, B, levels, max_depth)
+    lhs_series = _cesaro_series(1, B, levels, max_depth)
+    rhs_series = _cesaro_series(r, B, levels, max_depth)
+    # the length-1 average is 1_B itself: its norm is mu(B), its root sqrt(mu(B))
+    mu_b = lhs_series.norm(levels, 1)
+    lhs_sq = lhs_series.norm(levels, R)
+    rhs_norm_sq = rhs_series.norm(levels, L)
     s = Fraction(r * L, R)
-    lhs = sqrt_enclosure(lhs_sq, precision_bits)
-    rhs = (sqrt_enclosure(rhs_norm_sq, precision_bits)
-           + s * sqrt_enclosure(mu_b, precision_bits))
+    lhs = lhs_series.root(levels, R, precision_bits)
+    rhs = (rhs_series.root(levels, L, precision_bits)
+           + s * lhs_series.root(levels, 1, precision_bits))
     if lhs.upper <= rhs.lower:
         holds, decided = True, "enclosure"
     elif lhs.lower > rhs.upper:

@@ -31,12 +31,13 @@ class TowerLevels:
     level of the initial tower has measure 1 (so mu(X_0) = h_0).
 
     Construction data never changes after build.  The private _cache only
-    memoizes pure results of the correlation kernel (cylinders.py):
-    ("corr", m, A, B, max_depth) holds a finished enclosure, which the
-    averaging grid asks for again and again, and ("diff", A, B) holds a
-    pair's difference counts E(n, t), which depend on neither m nor the
-    depth budget and so serve a whole scan over m.  Neither is bounded;
-    both live as long as the TowerLevels.
+    memoizes pure results, keyed by tuples: ("diff", A, B) holds a pair's
+    difference counts E(n, t) (cylinders.py), which depend on neither m
+    nor the depth budget and so serve a whole scan over m, and
+    ("cesaro", k, B, max_depth) holds the correlation prefix sums behind
+    every Cesaro norm of B at step k (mixing.py), which serve every length
+    of the averaging grid.  Finished correlations are not memoized.  No
+    entry is bounded; all live as long as the TowerLevels.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",
@@ -99,7 +100,7 @@ def _stage_offsets(schedule: Schedule, n: int, h: int, z: int, r: int, d: int) -
 def build_levels(schedule: Schedule, depth: int) -> TowerLevels:
     """Materialize heights and offset sets for the first `depth` stages."""
     if depth < 0:
-        raise InvalidSchedule(f"depth must be >= 0, got {depth}")
+        raise ValueError(f"depth must be >= 0, got {depth}")
     h = [schedule.h0]
     bigH: list[int] = []
     offsets: list[list[int]] = []

@@ -6,6 +6,7 @@ statements are checked as exact finite-stage facts: frozen goldens, exact
 rational equalities, and interval-safe trend comparisons.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -131,6 +132,9 @@ def test_criterion_3_oracle_equivalence(_clock):
     _report(3, "oracle equivalence", _clock())
 
 
+C4_GRID_SHA256 = "3f0d96d51b3331cf0ddc4e101e5f87a141c7fd506a23695dbe9b9f5da68a7fde"
+
+
 def test_criterion_4_averaging_inequality_grid(_clock):
     lv = build_levels(Schedule("c4", 1, const(3), const(1)), 24)
     rng = random.Random(42)
@@ -140,6 +144,7 @@ def test_criterion_4_averaging_inequality_grid(_clock):
         k = rng.randint(1, 4)
         bs.append(CylinderSet.from_points(level, rng.sample(range(lv.h[level]), k=k)))
     violations = 0
+    digest = hashlib.sha256()
     for B in bs:
         for R in range(2, 65):
             for L in range(1, 9):
@@ -147,7 +152,12 @@ def test_criterion_4_averaging_inequality_grid(_clock):
                     rep = check_averaging_inequality(R, L, r, B, lv, 24)
                     if not rep.holds:
                         violations += 1
+                    digest.update(f"{rep.lhs_sq} {rep.rhs_norm_sq} {rep.lhs.lower} "
+                                  f"{rep.lhs.upper} {rep.rhs.lower} {rep.rhs.upper} "
+                                  f"{rep.decided_by}\n".encode("ascii"))
     assert violations == 0
+    # frozen over every report's exact norms, root enclosures and decision path
+    assert digest.hexdigest() == C4_GRID_SHA256
     _report(4, "averaging inequality grid", _clock())
 
 

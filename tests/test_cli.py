@@ -176,6 +176,20 @@ def test_negative_stage_exit_2(command, tmp_path, capsys):
     assert "stage -2 is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["build"],
+    ["cesaro", "--k", "2", "--l", "2", "--cylinder", CYL],
+    ["scan-mixing", "--stages", "0:1", "--samples", "2"],
+])
+def test_negative_depth_exit_2(command, sched_path, tmp_path, capsys):
+    # a bad --depth is a command-line mistake, not a schedule invariant (exit 3)
+    code, text = run_main(command + ["--schedule", sched_path, "--depth", "-1"],
+                          tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert "depth must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, option", [
     (["build"], ["--max-depth", "3"]),
     (["build"], ["--format", "csv"]),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrank import (
     CylinderSet,
@@ -177,6 +179,56 @@ def test_cesaro_norm_brute_force_cross_check(levels_r3_zramp):
                 direct += correlation((i - j) * k, b, b, lv, 5)
         direct /= l * l
         assert cesaro_norm(k, l, b, lv, 5) == direct
+
+
+def literal_cesaro_norm(k, l, B, levels, max_depth):
+    """(1/l^2) sum_{i, j < l} mu(T^{(i-j)k} B cap B), term by term.
+
+    Each term is read at the shift |i - j| k, the same measure by
+    mu(T^{-m} B cap B) = mu(T^m B cap B).  Row i = 0 meets every |i - j|
+    in increasing order, so an unresolved sum raises at its smallest
+    unresolved shift.
+    """
+    total = sum(correlation(abs(i - j) * k, B, B, levels, max_depth)
+                for i in range(l) for j in range(l))
+    return Fraction(total, l * l)
+
+
+@st.composite
+def cesaro_cases(draw):
+    """A small tower, a cylinder B of up to two intervals (so that many
+    correlations are non-zero), a step k in +-1..4, a budget that may leave
+    long averages unresolved, and lengths in random order."""
+    sched = Schedule("c", draw(st.integers(1, 3)), const(draw(st.integers(2, 3))),
+                     const(draw(st.integers(0, 4))))
+    levels = build_levels(sched, 6)
+    level = draw(st.integers(0, 2))
+    cuts = sorted(draw(st.sets(st.integers(0, levels.h[level]), max_size=4)))
+    B = CylinderSet.from_pairs(level, list(zip(cuts[::2], cuts[1::2])))
+    k = draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1)))
+    max_depth = draw(st.integers(level + 1, 6))
+    lengths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=5))
+    return sched, levels, B, k, max_depth, lengths
+
+
+def cesaro_outcome(norm, *args):
+    try:
+        return "value", norm(*args)
+    except DepthExhausted as exc:
+        return "exhausted", exc.interval
+
+
+@settings(max_examples=150)
+@given(cesaro_cases())
+def test_cesaro_norm_matches_literal_double_sum(case):
+    sched, levels, B, k, max_depth, lengths = case
+    fresh = build_levels(sched, levels.depth)
+    expected = {l: cesaro_outcome(literal_cesaro_norm, k, l, B, fresh, max_depth)
+                for l in lengths}
+    # one shared TowerLevels; the descending pass asks for shorter averages
+    # after a longer one may have run out of depth
+    for l in lengths + sorted(lengths, reverse=True):
+        assert cesaro_outcome(cesaro_norm, k, l, B, levels, max_depth) == expected[l]
 
 
 def test_cesaro_rejects_bad_length(levels_r3_zramp):
