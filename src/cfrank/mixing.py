@@ -120,6 +120,8 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     """
     if power == 0:
         raise ValueError("power must be non-zero")
+    if samples_per_stage < 1:
+        raise ValueError(f"samples per stage must be >= 1, got {samples_per_stage}")
     test_sets = list(test_sets)
     records = []
     for stage in stages:

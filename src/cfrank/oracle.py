@@ -3,21 +3,21 @@
 The oracle enumerates every unit level of a deep tower as an explicit
 integer and moves points by plain addition, with none of the interval or
 decomposition machinery of the main path: a cylinder is expanded into a
-sorted array of level indices stage by stage, and T^m of a point p is
-p + m while that stays inside the tower.  Points that step outside the
-enumerated tower are exactly the mass the main path calls residual at the
-same depth, so the two sides are comparable one-to-one: both either produce
-the same exact value or the same [lower, upper] interval.
+sorted array of level indices, and T^m of a point p is p + m while that
+stays inside the tower.  Points that step outside the enumerated tower are
+exactly the mass the main path calls residual at the same depth, so the two
+sides are comparable one-to-one: both either produce the same exact value
+or the same [lower, upper] interval.
 
-Neither step needs a full sort.  Expanding one stage places a copy of the
-array at every offset of C_n, offset-major; the copies of a stage never
-overlap (build_levels rejects offsets closer than h_n), so the result comes
-out strictly increasing, which expand_points checks before returning.
-Collisions of T^m A with B are counted by merging the two sorted, duplicate
-free arrays (a stable sort of two sorted runs is one merge) and counting
-adjacent equal entries.  Expansions are recomputed on every call and never
-cached: a per-(cylinder, depth) cache grows peak memory by more than it
-saves, and callers ask for one m at a time.
+A stage-k cylinder with points A_k is A^N = S + A_k at depth N, where the
+sumset S = C_k + ... + C_{N-1} is built once per (k, N), kept in the
+tower's cache and checked once to have gaps of at least h_k, so S + A_k is
+a disjoint, strictly increasing sum for every point set in [0, h_k).  With
+the shallower cylinder refined to stage k, collisions of T^m A with B are
+
+    sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
+
+each R(|d|) counted once per (k, N) by merging S with S + d.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 """
@@ -34,12 +34,42 @@ from .towers import TowerLevels
 _MAX_SAFE = 1 << 60  # keep well inside int64
 
 
-def _check_depth(levels: TowerLevels, depth: int):
-    levels.require_depth(depth)
-    if levels.h[depth] >= _MAX_SAFE:
-        raise ValueError(
-            f"oracle requires h_depth < 2**60, got h_{depth} = {levels.h[depth]}"
-        )
+class _Lags(dict):
+    """R(d) = #{x in s : x + d in s} by lag d >= 0, merge-counted on first use."""
+
+    def __init__(self, s: np.ndarray, h: int):
+        super().__init__()
+        self.s, self.h = s, h
+
+    def __missing__(self, d: int) -> int:
+        s = self.s
+        n = int(np.searchsorted(s, self.h - d))  # s + d stays inside the tower
+        merged = np.empty(n + s.size, dtype=np.int64)
+        np.add(s[:n], d, out=merged[:n])
+        merged[n:] = s
+        merged.sort(kind="stable")  # two sorted runs: one merge
+        count = self[d] = int(np.count_nonzero(merged[1:] == merged[:-1]))
+        return count
+
+
+def _base(levels: TowerLevels, k: int, depth: int) -> _Lags:
+    """The sumset C_k + ... + C_{depth-1} with its lag counts, memoized."""
+    key = ("oracle", k, depth)
+    if key not in levels._cache:
+        levels.require_depth(depth)
+        if levels.h[depth] >= _MAX_SAFE:
+            raise ValueError(
+                f"oracle requires h_depth < 2**60, got h_{depth} = {levels.h[depth]}")
+        if depth < k:
+            raise DepthUnavailable(
+                f"cannot expand a stage-{k} cylinder at shallower stage {depth}")
+        s = np.zeros(1, dtype=np.int64)
+        for n in range(k, depth):
+            s = (np.asarray(levels.offsets[n], dtype=np.int64)[:, None] + s[None, :]).ravel()
+        if not (s[1:] - s[:-1] >= levels.h[k]).all():
+            raise OffsetOverlap(f"stage-{depth} copies of the stage-{k} tower overlap")
+        levels._cache[key] = _Lags(s, levels.h[depth])
+    return levels._cache[key]
 
 
 def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) -> np.ndarray:
@@ -48,26 +78,13 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     Repeated points count once; points outside [0, h_cyl_level) raise
     ValueError.  The result is a strictly increasing int64 array.
     """
-    _check_depth(levels, to_level)
     levels.require_depth(cyl_level)
-    if to_level < cyl_level:
-        raise DepthUnavailable(
-            f"cannot expand a stage-{cyl_level} cylinder at shallower stage {to_level}"
-        )
     pts = sorted({int(p) for p in points})
     h = levels.h[cyl_level]
     if pts and (pts[0] < 0 or pts[-1] >= h):
         raise ValueError(f"cylinder levels {pts} not inside [0, {h}) at stage {cyl_level}")
-    arr = np.asarray(pts, dtype=np.int64)
-    for n in range(cyl_level, to_level):
-        cs = np.asarray(levels.offsets[n], dtype=np.int64)
-        arr = (cs[:, None] + arr[None, :]).ravel()
-    if not (arr[1:] > arr[:-1]).all():
-        raise OffsetOverlap(
-            f"expanded stage-{to_level} levels are not strictly increasing: "
-            "tower copies overlap"
-        )
-    return arr
+    s = _base(levels, cyl_level, to_level).s
+    return (s[:, None] + np.asarray(pts, dtype=np.int64)[None, :]).ravel()
 
 
 def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_points,
@@ -77,18 +94,18 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     Orbit points that leave the enumerated tower widen the result into the
     same [lower, upper] enclosure the main path reports at that depth.
     """
-    sa = expand_points(a_level, a_points, depth, levels)
-    sb = expand_points(b_level, b_points, depth, levels)
-    h = levels.h[depth]
+    k = max(a_level, b_level)
+    pa = expand_points(a_level, a_points, k, levels)
+    pb = expand_points(b_level, b_points, k, levels)
+    lags = _base(levels, k, depth)
+    s, h = lags.s, lags.h
     denom = levels.cuts_product[depth]
     m = int(m)
     if abs(m) >= h:  # every point leaves the tower; also keeps m out of int64
-        return Enclosure(Fraction(0), Fraction(sa.size, denom))
-    inside = sa[np.searchsorted(sa, -m):np.searchsorted(sa, h - m)] + m
-    merged = np.concatenate((inside, sb))
-    merged.sort(kind="stable")
-    hits = int(np.count_nonzero(merged[1:] == merged[:-1]))
-    lost = sa.size - inside.size
+        return Enclosure(Fraction(0), Fraction(pa.size * s.size, denom))
+    hits = sum(lags[abs(d)] for d in ((pa[:, None] - pb[None, :]).ravel() + m).tolist())
+    lost = int(np.searchsorted(s, -m - pa).sum()) \
+        + pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum())
     return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))
 
 

@@ -36,8 +36,11 @@ class TowerLevels:
     nor the depth budget and so serve a whole scan over m, and
     ("cesaro", k, B, max_depth) holds the correlation prefix sums behind
     every Cesaro norm of B at step k (mixing.py), which serve every length
-    of the averaging grid.  Finished correlations are not memoized.  No
-    entry is bounded; all live as long as the TowerLevels.
+    of the averaging grid, and ("oracle", k, N) holds the oracle's sumset
+    C_k + ... + C_{N-1} with the lag counts computed on it so far
+    (oracle.py), sized by that sumset, r_k * ... * r_{N-1} int64 points.
+    Finished correlations are not memoized.  No entry is bounded; all
+    live as long as the TowerLevels.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

@@ -162,7 +162,7 @@ def test_criterion_4_averaging_inequality_grid(_clock):
 
 
 # frozen goldens for criterion 5, computed once from the exact scan and
-# cross-checked against the oracle at the stages it can reach
+# cross-checked against the oracle at every stage
 C5_GOLDENS = {
     2: (Fraction(3221, 40320), Fraction(20707, 259200)),
     3: (Fraction(23683, 362880), Fraction(118451, 1814400)),
@@ -185,8 +185,8 @@ def test_criterion_5_mixing_interval_trend(_clock):
     # strict decay across two-stage gaps, safe side of the enclosures
     assert maxima[5][1] < maxima[3][0]
     assert maxima[4][1] < maxima[2][0]
-    # oracle cross-check at the stages the point-orbit oracle can enumerate
-    for stage in (2, 3):
+    # oracle cross-check at every scanned stage
+    for stage in (2, 3, 4, 5):
         lo_max, hi_max = Fraction(0), Fraction(0)
         from cfrank import stratified_times
 
@@ -196,7 +196,7 @@ def test_criterion_5_mixing_interval_trend(_clock):
                     m, A.level, list(A.levels_set.points()),
                     B.level, list(B.levels_set.points()), lv, 8)
                 lo_max, hi_max = max(lo_max, lo), max(hi_max, hi)
-        assert (lo_max, hi_max) == maxima[stage]
+        assert (lo_max, hi_max) == maxima[stage] == C5_GOLDENS[stage]
     _report(5, "mixing interval trend", _clock())
 
 

@@ -176,6 +176,16 @@ def test_negative_stage_exit_2(command, tmp_path, capsys):
     assert "stage -2 is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_scan_no_samples_exit_2(samples, sched_path, tmp_path, capsys):
+    code, text = run_main(["scan-mixing", "--schedule", sched_path, "--depth", "3",
+                           "--stages", "0:1", "--samples", samples, "--tests", PAIR],
+                          tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert f"samples per stage must be >= 1, got {samples}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["build"],
     ["cesaro", "--k", "2", "--l", "2", "--cylinder", CYL],

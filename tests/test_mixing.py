@@ -106,6 +106,13 @@ def test_scan_rejects_zero_power(levels_r3_zramp):
         scan_mixing_intervals(levels_r3_zramp, [], [0], 4, 0, 4)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_scan_rejects_no_samples(levels_r3_zramp, samples):
+    # a stage with no sampled times used to report max_lower = max_upper = 0
+    with pytest.raises(ValueError, match="samples per stage must be >= 1"):
+        scan_mixing_intervals(levels_r3_zramp, [], [0], samples, 1, 4)
+
+
 def test_scan_transpose_symmetry(levels_r3_zramp):
     # exact entries for j and -j with transposed test sets agree
     lv = levels_r3_zramp

@@ -103,10 +103,9 @@ def test_oracle_huge_m_matches_main_path(m):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_towers(draw):
     """A random tower (partially-high stages, some with explicit prefix
-    offsets) of depth 1-4 and two cylinders given as point lists that may
-    repeat points."""
+    offsets) of depth 1-4."""
     h0, stages = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rs, zs, ds, prefix = [], [], [], {}
 
@@ -125,17 +124,31 @@ def oracle_cases(draw):
                 c += h + draw(st.integers(0, 3))
                 offs.append(c)
             prefix[n] = tuple(offs)
-    levels = build_levels(schedule(), stages)
+    return build_levels(schedule(), stages)
 
+
+@st.composite
+def oracle_queries(draw, levels, shifts=None):
+    """Two cylinders of the tower given as point lists that may repeat
+    points, a depth that reaches both, and a shift m of either sign, drawn
+    from `shifts` when given."""
     def cylinder():
-        level = draw(st.integers(0, stages))
+        level = draw(st.integers(0, levels.depth))
         points = draw(st.lists(st.integers(0, levels.h[level] - 1), max_size=5))
         return level, points
 
     (a_level, a_pts), (b_level, b_pts) = cylinder(), cylinder()
-    depth = draw(st.integers(max(a_level, b_level), stages))
-    m = draw(st.integers(-2 * levels.h[depth], 2 * levels.h[depth]))
-    return levels, m, a_level, a_pts, b_level, b_pts, depth
+    depth = draw(st.integers(max(a_level, b_level), levels.depth))
+    if shifts is None:
+        shifts = st.integers(-2 * levels.h[depth], 2 * levels.h[depth])
+    m = draw(shifts)
+    return m, a_level, a_pts, b_level, b_pts, depth
+
+
+@st.composite
+def oracle_cases(draw):
+    levels = draw(oracle_towers())
+    return (levels, *draw(oracle_queries(levels)))
 
 
 def _set_count_reference(m, a_level, a_pts, b_level, b_pts, levels, depth):
@@ -172,13 +185,38 @@ def test_oracle_matches_set_count_reference(case):
         == _set_count_reference(m, a_level, a_pts, b_level, b_pts, levels, depth)
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_shared_oracle_memo_matches_fresh_reference(data):
+    # one TowerLevels answers every query, each asked twice at every depth
+    # that reaches it, in random order, so later queries read sumsets and
+    # lag counts memoized by earlier ones; a few shared shifts make the lags
+    # m + p - q of different pairs and stages coincide
+    levels = data.draw(oracle_towers())
+    h = levels.h[levels.depth]
+    shifts = st.sampled_from(data.draw(st.lists(st.integers(-h, h), min_size=1, max_size=3)))
+    pairs = data.draw(st.lists(oracle_queries(levels, shifts), min_size=1, max_size=6))
+    queries = [(m, a_level, a_pts, b_level, b_pts, depth)
+               for m, a_level, a_pts, b_level, b_pts, _ in pairs
+               for depth in range(max(a_level, b_level), levels.depth + 1)]
+    for m, a_level, a_pts, b_level, b_pts, depth in data.draw(st.permutations(queries * 2)):
+        fresh = build_levels(levels.schedule, levels.depth)
+        assert oracle_correlation_bounds(m, a_level, a_pts, b_level, b_pts, levels, depth) \
+            == _set_count_reference(m, a_level, a_pts, b_level, b_pts, fresh, depth)
+
+
 def test_expand_points_rejects_overlapping_copies(sched_r3z1):
-    # build_levels never makes these offsets; the oracle's sortedness rests
-    # on that, so it checks its output instead of trusting it
+    # build_levels never makes these offsets; the oracle's sortedness and
+    # its collision count rest on that, so it checks the offsets of every
+    # sumset it builds, even where one point's copies [0, 2] do not collide
     lv = TowerLevels(sched_r3z1, 1, h=[3, 6], bigH=[3], offsets=[[0, 2]],
                      cuts_product=[1, 2], r=[2, 2], z=[0], d=[0])
     with pytest.raises(OffsetOverlap):
         expand_points(0, [0, 1, 2], 1, lv)
+    with pytest.raises(OffsetOverlap):
+        expand_points(0, [0], 1, lv)
+    with pytest.raises(OffsetOverlap):
+        oracle_correlation_bounds(0, 0, [0], 0, [0], lv, 1)
 
 
 def test_expand_points_rejects_negative_stage(levels_r3z1):
