@@ -82,7 +82,10 @@ def _parse_tests(raw: str, levels) -> tuple[list, str]:
     if raw == "canonical":
         return canonical_test_set(levels), "canonical"
     doc = _load_json_arg(raw)
-    pairs = [(parse_cylinder(a), parse_cylinder(b)) for a, b in doc]
+    try:
+        pairs = [(parse_cylinder(a), parse_cylinder(b)) for a, b in doc]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--tests must be a list of cylinder pairs: {exc}") from exc
     return pairs, "custom"
 
 
@@ -136,8 +139,12 @@ def cmd_build(args) -> int:
         "measure": reports.measure_report_json(measure_report(levels)),
     }
     if levels.depth >= 2:
+        try:
+            threshold = Fraction(args.growth_threshold)
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"bad --growth-threshold: {exc}") from exc
         report["growth"] = reports.growth_report_json(
-            check_restricted_growth(levels, Fraction(args.growth_threshold))
+            check_restricted_growth(levels, threshold)
         )
     _write(reports.canonical_json(report), args.out)
     return EXIT_OK
@@ -183,7 +190,7 @@ def cmd_weak_limits(args) -> int:
     target_doc = _load_json_arg(args.target)
     try:
         target = WeakLimitTarget({int(j): Fraction(a) for j, a in target_doc.items()})
-    except (AttributeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad --target: {exc}") from exc
     times = [int(t) for t in args.times.split(",") if t]
     bounds = weak_limit_discrepancy_bounds(times, target, tests, levels, args.max_depth)

@@ -12,9 +12,13 @@ leaves its stage window is refined one stage deeper and retried, down to a
 caller-chosen max depth.  Correlations never build those pieces: at depth
 N they count level pairs (x, y) of the stage-N refinements with y - x = m
 by a memoized recursion over the offset sets (difference counts), and the
-points of A whose image leaves [0, h_N) by a rank query.  Either way what
-is still unresolved at the max depth is reported as an explicit residual
-measure, never silently dropped.
+points of A whose image leaves [0, h_N) by a rank query.  Refinement adds
+offsets, (A + u)^N = A^N + u, so the difference counts of a pair are those
+of its translation class (both cylinders moved down to start at level 0)
+read at m minus the distance between their lowest levels, and one memo
+serves every pair of the class.  Either way what is still unresolved at
+the max depth is reported as an explicit residual measure, never silently
+dropped.
 """
 
 from __future__ import annotations
@@ -202,7 +206,10 @@ def _cross_count(levels: TowerLevels, a: _Refinement, b: _Refinement, n: int,
 
 
 class _DifferenceCounts:
-    """E(n, t) = #{(x, y) in A^n x B^n : y - x = t} for one pair of cylinders.
+    """E(n, t) = #{(x, y) in A^n x B^n : y - x = t} for one translation class.
+
+    A and B are the class representatives, each starting at level 0; a
+    pair (A + ua, B + ub) reads E(n, t - (ub - ua)) (see _pair_kernel).
 
     A^{n+1} = A^n + C_n as a disjoint union, so
 
@@ -212,7 +219,7 @@ class _DifferenceCounts:
     (consecutive offsets are at least h_n apart).  The recursion stops at
     the deeper of the two cylinder stages with the exact cross count.
     E does not depend on m or on the depth budget, so one memo serves every
-    correlation of the pair.
+    correlation of every pair in the class.
     """
 
     __slots__ = ("a", "b", "base", "memo")
@@ -241,6 +248,31 @@ class _DifferenceCounts:
                     total += self.count(levels, n - 1, s - c2)
         self.memo[key] = total
         return total
+
+
+def _pair_kernel(A: CylinderSet, B: CylinderSet,
+                 levels: TowerLevels) -> tuple[_DifferenceCounts, int, _Refinement]:
+    """The pair's class kernel, the shift ub - ua, and A's refinement.
+
+    With ua, ub the lowest levels of A, B and A0 = A - ua, B0 = B - ub,
+
+        E_{A,B}(n, t) = E_{A0,B0}(n, t - (ub - ua)),
+
+    so every pair with the same stages and interval shapes shares one
+    kernel; the residual and a B deeper than the budget still need A.
+    """
+    pair_key = ("pair", A, B)
+    hit = levels._cache.get(pair_key)
+    if hit is None:
+        ua, ub = (c.levels_set.min() if c.levels_set else 0 for c in (A, B))
+        A0 = CylinderSet(A.level, A.levels_set.shift(-ua))
+        B0 = CylinderSet(B.level, B.levels_set.shift(-ub))
+        class_key = ("diff", A0, B0)
+        kernel = levels._cache.get(class_key)
+        if kernel is None:
+            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0)
+        hit = levels._cache[pair_key] = (kernel, ub - ua, _Refinement(A))
+    return hit
 
 
 def _shadows(levels: TowerLevels, cyl: CylinderSet, n: int) -> list[tuple[int, int]]:
@@ -295,13 +327,10 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     """
     _require_room(A, levels, max_depth)
     B.validate(levels)
-    pair_key = ("diff", A, B)
-    kernel = levels._cache.get(pair_key)
-    if kernel is None:
-        kernel = levels._cache[pair_key] = _DifferenceCounts(A, B)
-    n, a = max_depth, kernel.a
+    kernel, shift, a = _pair_kernel(A, B, levels)
+    n = max_depth
     if B.level <= n:
-        hits, stage = kernel.count(levels, n, m), n
+        hits, stage = kernel.count(levels, n, m - shift), n
     else:
         hits, stage = a.count_in(levels, n, _shadows(levels, B, n), -m), B.level
     lost = a.size_at(levels, n) - a.count_in(levels, n, ((0, levels.h[n]),), -m)

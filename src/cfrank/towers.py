@@ -31,14 +31,19 @@ class TowerLevels:
     level of the initial tower has measure 1 (so mu(X_0) = h_0).
 
     Construction data never changes after build.  The private _cache only
-    memoizes pure results, keyed by tuples: ("diff", A, B) holds a pair's
-    difference counts E(n, t) (cylinders.py), which depend on neither m
-    nor the depth budget and so serve a whole scan over m, and
-    ("cesaro", k, B, max_depth) holds the correlation prefix sums behind
-    every Cesaro norm of B at step k (mixing.py), which serve every length
-    of the averaging grid, and ("oracle", k, N) holds the oracle's sumset
-    C_k + ... + C_{N-1} with the lag counts computed on it so far
-    (oracle.py), sized by that sumset, r_k * ... * r_{N-1} int64 points.
+    memoizes pure results, keyed by tuples: ("diff", A0, B0) holds the
+    difference counts E(n, t) of one translation class of cylinder pairs,
+    A0 and B0 moved down to start at level 0 (cylinders.py); they depend
+    on neither m nor the depth budget and so serve a whole scan over m and
+    every translate of the pair.  ("pair", A, B) maps a pair to its class
+    kernel, the shift ub - ua between the lowest levels of B and A
+    (E_{A,B}(n, t) = E_{A0,B0}(n, t - (ub - ua))) and A's own rank
+    structure for the residual.  ("cesaro", k, B, max_depth) holds the
+    correlation prefix sums behind every Cesaro norm of B at step k
+    (mixing.py), which serve every length of the averaging grid, and
+    ("oracle", k, N) holds the oracle's sumset C_k + ... + C_{N-1} with
+    the lag counts computed on it so far (oracle.py), sized by that
+    sumset, r_k * ... * r_{N-1} int64 points.
     Finished correlations are not memoized.  No entry is bounded; all
     live as long as the TowerLevels.
     """

@@ -58,6 +58,16 @@ def test_build_invalid_schedule_exit_3(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 3
 
 
+@pytest.mark.parametrize("threshold", ["1/0", "x"])
+def test_build_bad_growth_threshold_exit_2(threshold, sched_path, tmp_path, capsys):
+    # "1/0" used to escape as a ZeroDivisionError traceback (exit 1)
+    code, text = run_main(["build", "--schedule", sched_path, "--depth", "2",
+                           "--growth-threshold", threshold], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("cfrank: bad --growth-threshold: ")
+
+
 def test_build_parse_error_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
@@ -184,6 +194,34 @@ def test_scan_no_samples_exit_2(samples, sched_path, tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert f"samples per stage must be >= 1, got {samples}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tests", ["5", "[5]", "[[5, 6]]", '{"ab": 1}', '"ab"'])
+@pytest.mark.parametrize("command", [
+    ["scan-mixing", "--stages", "0:1"],
+    ["weak-limits", "--times", "1", "--target", '{"0": "1/3"}'],
+])
+def test_tests_not_a_list_of_pairs_exit_2(command, tests, sched_path, tmp_path, capsys):
+    # a bare number used to escape as a TypeError traceback (exit 1)
+    code, text = run_main(command + ["--schedule", sched_path, "--depth", "2",
+                                     "--tests", tests], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cfrank: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ['{"0": null}', '{"0": [1]}', '{"0": "1/0"}',
+                                    '{"0": 1e400}', '{"x": "1"}', "5"])
+def test_weak_limits_bad_target_exit_2(target, sched_path, tmp_path, capsys):
+    # Fraction(None), Fraction("1/0") and Fraction(inf) used to escape as
+    # tracebacks (exit 1)
+    code, text = run_main(["weak-limits", "--schedule", sched_path, "--depth", "2",
+                           "--times", "1", "--target", target, "--tests", PAIR],
+                          tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("cfrank: bad --target: ")
 
 
 @pytest.mark.parametrize("command", [

@@ -13,6 +13,7 @@ from cfrank import (
     const,
     correlation,
     correlation_bounds,
+    explicit,
     intersect_measure,
     product_correlation,
     refine,
@@ -272,6 +273,84 @@ def test_enclosure_contains_oracle_one_stage_deeper(case):
                                            B.level, list(B.levels_set.points()),
                                            levels, depth)
     assert lo <= o_lo <= o_hi <= hi
+
+
+@st.composite
+def small_towers(draw):
+    """A tower of depth 2-4 with partially-high stages, some of them with
+    explicit prefix offsets."""
+    h0, stages = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rs, zs, ds, prefix = [], [], [], {}
+
+    def schedule():
+        return Schedule("shared", h0, explicit(rs, tail=const(2)), explicit(zs, tail=const(0)),
+                        d=explicit(ds, tail=const(0)), prefix_offsets=prefix)
+
+    for n in range(stages):
+        rs.append(draw(st.integers(2, 3)))
+        zs.append(draw(st.integers(0, 2)))
+        ds.append(draw(st.integers(0, rs[-1])))
+        if ds[-1] and draw(st.booleans()):
+            h, c, offs = build_levels(schedule(), n).h[n], 0, []
+            for _ in range(min(ds[-1], rs[-1] - 1)):
+                c += h + draw(st.integers(0, 2))
+                offs.append(c)
+            prefix[n] = tuple(offs)
+    return build_levels(schedule(), stages)
+
+
+@st.composite
+def translate_classes(draw, levels):
+    """Pairs (A + u, B + v): an interval shape for each side placed at
+    several in-range offsets, all of one translation class, then again at
+    a second, no shallower pair of stages (the same shapes, so another
+    class unless both stages repeat)."""
+    def shape(level):
+        h = levels.h[level]
+        spans = draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(1, 3)),
+                              min_size=1, max_size=3))
+        s = IntervalSet.from_pairs((a, min(h, a + w)) for a, w in spans)
+        return s.shift(-s.min())
+
+    def translates(level, s):
+        top = levels.h[level] - 1 - s.max()
+        return [CylinderSet(level, s.shift(u))
+                for u in draw(st.lists(st.integers(0, top), min_size=1, max_size=3))]
+
+    la, lb = draw(st.integers(0, levels.depth - 1)), draw(st.integers(0, levels.depth))
+    sa, sb = shape(la), shape(lb)
+    stage_pairs = [(la, lb), (draw(st.integers(la, levels.depth - 1)),
+                              draw(st.integers(lb, levels.depth)))]
+    return [(A, B) for ka, kb in stage_pairs
+            for A in translates(ka, sa) for B in translates(kb, sb)]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_translated_pairs_share_one_kernel(data):
+    # every query goes to one TowerLevels, in random order and at every
+    # budget, so pairs of one translation class read difference counts
+    # memoized by their translates; the same shapes at other stages must not
+    levels = data.draw(small_towers())
+    pairs = data.draw(translate_classes(levels))
+    queries = []
+    for A, B in pairs:
+        for max_depth in range(A.level + 1, levels.depth + 1):
+            h = levels.h[max_depth]
+            for m in data.draw(st.lists(st.integers(-h, h), min_size=1, max_size=3)):
+                queries.append((m, A, B, max_depth))
+    for m, A, B, max_depth in data.draw(st.permutations(queries)):
+        got = correlation_bounds(m, A, B, levels, max_depth)
+        fresh = build_levels(levels.schedule, levels.depth)
+        assert got == correlation_bounds(m, A, B, fresh, max_depth)
+        depth = max(max_depth, B.level)
+        lo, hi = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
+                                           B.level, list(B.levels_set.points()),
+                                           fresh, depth)
+        if depth == max_depth:
+            assert got == (lo, hi)
+        else:  # B deeper than the budget: the oracle counts at B's stage
+            assert got[0] <= lo <= hi <= got[1]
 
 
 def test_kernel_cylinder_deeper_than_max_depth():
