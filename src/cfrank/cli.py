@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import reports
 from .cylinders import CylinderSet
-from .errors import CFRankError, DepthExhausted, InvalidSchedule
+from .errors import CFRankError, DepthExhausted, DepthUnavailable, InvalidP, InvalidSchedule
 from .intervals import IntervalSet
 from .mixing import (
     WeakLimitTarget,
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
         args.max_depth = args.depth
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DepthUnavailable, InvalidP) as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DepthExhausted as exc:

@@ -110,7 +110,6 @@ def _require_room(cyl: CylinderSet, levels: TowerLevels, max_depth: int):
         raise DepthUnavailable(
             f"max_depth {max_depth} must exceed the cylinder stage {cyl.level}"
         )
-    cyl.validate(levels)
 
 
 def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
@@ -124,6 +123,7 @@ def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
     refined the same way).
     """
     _require_room(cyl, levels, max_depth)
+    cyl.validate(levels)
     pieces = []
     level = cyl.level
     current = cyl.levels_set
@@ -240,12 +240,16 @@ class _DifferenceCounts:
         if n == self.base:
             total = _cross_count(levels, self.a, self.b, n, t)
         else:
-            offsets, h = levels.offsets[n - 1], levels.h[n - 1]
+            # every child s - c2 has |s - c2| < h: read memo hits inline
+            memo, child = self.memo, n - 1
+            offsets, h = levels.offsets[child], levels.h[child]
             total = 0
             for c in offsets:
                 s = t + c
                 for c2 in offsets[bisect_right(offsets, s - h):bisect_left(offsets, s + h)]:
-                    total += self.count(levels, n - 1, s - c2)
+                    u = s - c2
+                    e = memo.get((child, u))
+                    total += self.count(levels, child, u) if e is None else e
         self.memo[key] = total
         return total
 
@@ -260,10 +264,14 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
 
     so every pair with the same stages and interval shapes shares one
     kernel; the residual and a B deeper than the budget still need A.
+    Both cylinders are validated here, once per pair entry: the tower is
+    immutable and nothing is cached for a pair that fails.
     """
     pair_key = ("pair", A, B)
     hit = levels._cache.get(pair_key)
     if hit is None:
+        A.validate(levels)
+        B.validate(levels)
         ua, ub = (c.levels_set.min() if c.levels_set else 0 for c in (A, B))
         A0 = CylinderSet(A.level, A.levels_set.shift(-ua))
         B0 = CylinderSet(B.level, B.levels_set.shift(-ub))
@@ -326,16 +334,21 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     that decomposition's residual.
     """
     _require_room(A, levels, max_depth)
-    B.validate(levels)
     kernel, shift, a = _pair_kernel(A, B, levels)
     n = max_depth
     if B.level <= n:
         hits, stage = kernel.count(levels, n, m - shift), n
     else:
         hits, stage = a.count_in(levels, n, _shadows(levels, B, n), -m), B.level
-    lost = a.size_at(levels, n) - a.count_in(levels, n, ((0, levels.h[n]),), -m)
+    lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m) + a.rank(levels, n, -m)
+    if not lost:
+        value = Fraction(hits, levels.cuts_product[stage])
+        return Enclosure(value, value)
+    q = levels.cuts_product[n]
+    if stage == n:
+        return Enclosure(Fraction(hits, q), Fraction(hits + lost, q))
     value = Fraction(hits, levels.cuts_product[stage])
-    return Enclosure(value, value + Fraction(lost, levels.cuts_product[n]))
+    return Enclosure(value, value + Fraction(lost, q))
 
 
 def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

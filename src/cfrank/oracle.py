@@ -17,7 +17,9 @@ the shallower cylinder refined to stage k, collisions of T^m A with B are
 
     sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
 
-each R(|d|) counted once per (k, N) by merging S with S + d.
+each R(|d|) counted once per (k, N) by merging S with S + d.  A pair's
+refined points and differences p - q are kept per pair and depth, so a
+call costs only the lag sum and the residual's two binary searches.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 """
@@ -94,16 +96,22 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     Orbit points that leave the enumerated tower widen the result into the
     same [lower, upper] enclosure the main path reports at that depth.
     """
-    k = max(a_level, b_level)
-    pa = expand_points(a_level, a_points, k, levels)
-    pb = expand_points(b_level, b_points, k, levels)
-    lags = _base(levels, k, depth)
+    a_pts, b_pts = tuple(a_points), tuple(b_points)
+    key = ("oracle-pair", a_level, a_pts, b_level, b_pts, depth)
+    entry = levels._cache.get(key)
+    if entry is None:
+        k = max(a_level, b_level)
+        pa = expand_points(a_level, a_pts, k, levels)
+        pb = expand_points(b_level, b_pts, k, levels)
+        diffs = (pa[:, None] - pb[None, :]).ravel().tolist()
+        entry = levels._cache[key] = (pa, diffs, _base(levels, k, depth))
+    pa, diffs, lags = entry
     s, h = lags.s, lags.h
     denom = levels.cuts_product[depth]
     m = int(m)
     if abs(m) >= h:  # every point leaves the tower; also keeps m out of int64
         return Enclosure(Fraction(0), Fraction(pa.size * s.size, denom))
-    hits = sum(lags[abs(d)] for d in ((pa[:, None] - pb[None, :]).ravel() + m).tolist())
+    hits = sum(lags[abs(d + m)] for d in diffs)
     lost = int(np.searchsorted(s, -m - pa).sum()) \
         + pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum())
     return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))

@@ -38,12 +38,18 @@ class TowerLevels:
     every translate of the pair.  ("pair", A, B) maps a pair to its class
     kernel, the shift ub - ua between the lowest levels of B and A
     (E_{A,B}(n, t) = E_{A0,B0}(n, t - (ub - ua))) and A's own rank
-    structure for the residual.  ("cesaro", k, B, max_depth) holds the
-    correlation prefix sums behind every Cesaro norm of B at step k
-    (mixing.py), which serve every length of the averaging grid, and
-    ("oracle", k, N) holds the oracle's sumset C_k + ... + C_{N-1} with
-    the lag counts computed on it so far (oracle.py), sized by that
-    sumset, r_k * ... * r_{N-1} int64 points.
+    structure for the residual; A and B are validated once, when this
+    entry is built.  ("cesaro", k, B, max_depth) holds the correlation
+    prefix sums behind every Cesaro norm of B at step k (mixing.py),
+    which serve every length of the averaging grid.  ("oracle", k, N)
+    holds the oracle's sumset C_k + ... + C_{N-1} with the lag counts
+    computed on it so far (oracle.py), sized by that sumset,
+    r_k * ... * r_{N-1} int64 points, and ("oracle-pair", a_level, a_pts,
+    b_level, b_pts, N) holds one oracle pair at depth N: A's points
+    refined to stage k = max(a_level, b_level) (|A_k| int64), the
+    |A_k| * |B_k| differences p - q as Python ints, and the (k, N) lag
+    counts it shares with the ("oracle", k, N) entry.  Its points are
+    validated once, when it is built.
     Finished correlations are not memoized.  No entry is bounded; all
     live as long as the TowerLevels.
     """

@@ -196,6 +196,24 @@ def test_scan_no_samples_exit_2(samples, sched_path, tmp_path, capsys):
     assert f"samples per stage must be >= 1, got {samples}" in capsys.readouterr().err
 
 
+def test_scan_stage_beyond_depth_exit_2(sched_path, tmp_path, capsys):
+    # a stage beyond --depth is a config error, not a schedule invariant
+    code, text = run_main(["scan-mixing", "--schedule", sched_path, "--depth", "2",
+                           "--stages", "0:9"], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert "level 3 requested but only 2 stages materialized" in capsys.readouterr().err
+
+
+def test_poisson_mult_bad_p_exit_2(tmp_path, capsys):
+    # p <= 1 is a config error, not a schedule invariant
+    code, text = run_main(["poisson-mult", "--kind", "identity-product", "--p", "0",
+                           "--n-max", "3"], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert "need p > 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tests", ["5", "[5]", "[[5, 6]]", '{"ab": 1}', '"ab"'])
 @pytest.mark.parametrize("command", [
     ["scan-mixing", "--stages", "0:1"],

@@ -236,10 +236,15 @@ def test_correlation_bounded_by_measures(a_pts, b_pts, m):
 @st.composite
 def kernel_cases(draw):
     """Cylinders at mixed stages with up to three intervals each, a budget
-    that may be shallower than B, and shifts of either sign."""
-    sched = Schedule("k", draw(st.integers(1, 3)), const(draw(st.integers(2, 3))),
-                     const(draw(st.integers(0, 2))))
-    levels = build_levels(sched, 6)
+    that may be shallower than B, and several shifts of either sign, on a
+    high staircase or on partially-high stages (default or explicit prefix
+    offsets)."""
+    if draw(st.booleans()):
+        sched = Schedule("k", draw(st.integers(1, 3)), const(draw(st.integers(2, 3))),
+                         const(draw(st.integers(0, 2))))
+        levels = build_levels(sched, 6)
+    else:
+        levels = draw(small_towers(st.just(6)))
 
     def cylinder():
         level = draw(st.integers(0, 4))
@@ -250,36 +255,45 @@ def kernel_cases(draw):
 
     A, B = cylinder(), cylinder()
     max_depth = draw(st.integers(A.level + 1, 5))
-    m = draw(st.integers(-2 * levels.h[max_depth], 2 * levels.h[max_depth]))
-    return levels, A, B, m, max_depth
+    h, near = levels.h[max_depth], levels.h[A.level + 1]
+    ms = draw(st.lists(st.integers(-2 * h, 2 * h) | st.integers(-near, near),
+                       min_size=2, max_size=5))
+    return levels, A, B, ms, max_depth
 
 
 @settings(max_examples=150)
 @given(kernel_cases())
 def test_kernel_matches_piece_decomposition(case):
-    levels, A, B, m, max_depth = case
-    dec = apply_power(m, A, levels, max_depth)
-    value = intersect_measure(dec, B, levels)
-    assert correlation_bounds(m, A, B, levels, max_depth) == (value, value + dec.residual)
+    # every query goes to one TowerLevels, budgets ascending: the memo is
+    # warm after the first, and a budget's top entries are read back as
+    # children by the next budget's recursion
+    levels, A, B, ms, top = case
+    for max_depth in range(A.level + 1, top + 1):
+        for m in ms:
+            dec = apply_power(m, A, levels, max_depth)
+            value = intersect_measure(dec, B, levels)
+            assert correlation_bounds(m, A, B, levels, max_depth) \
+                == (value, value + dec.residual)
 
 
 @settings(max_examples=100)
 @given(kernel_cases())
 def test_enclosure_contains_oracle_one_stage_deeper(case):
-    levels, A, B, m, max_depth = case
+    levels, A, B, ms, max_depth = case
     depth = max(max_depth + 1, B.level)
-    lo, hi = correlation_bounds(m, A, B, levels, max_depth)
-    o_lo, o_hi = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
-                                           B.level, list(B.levels_set.points()),
-                                           levels, depth)
-    assert lo <= o_lo <= o_hi <= hi
+    for m in ms:
+        lo, hi = correlation_bounds(m, A, B, levels, max_depth)
+        o_lo, o_hi = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
+                                               B.level, list(B.levels_set.points()),
+                                               levels, depth)
+        assert lo <= o_lo <= o_hi <= hi
 
 
 @st.composite
-def small_towers(draw):
-    """A tower of depth 2-4 with partially-high stages, some of them with
-    explicit prefix offsets."""
-    h0, stages = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+def small_towers(draw, depths=st.integers(2, 4)):
+    """A tower of depth 2-4 (drawn from depths) with partially-high stages,
+    some of them with explicit prefix offsets."""
+    h0, stages = draw(st.integers(1, 3)), draw(depths)
     rs, zs, ds, prefix = [], [], [], {}
 
     def schedule():
@@ -375,6 +389,30 @@ def test_product_correlation(levels_r3_zramp):
 def test_validation_rejects_out_of_range(levels_r3_zramp):
     with pytest.raises(ValueError):
         pts(0, 5).validate(levels_r3_zramp)
+
+
+def test_cached_pairs_still_validate_every_call():
+    # cylinders are validated once per pair entry; a bad cylinder must still
+    # raise on every call once a valid pair sharing the other side is cached
+    lv = build_levels(Schedule("t", 1, const(3), const(1)), 4)
+    good = pts(1, 0, 4)
+    want = correlation_bounds(2, good, good, lv, 3)
+    bad = [(CylinderSet.from_pairs(1, [(lv.h[1] - 1, lv.h[1] + 1)]), ValueError),
+           (pts(lv.depth + 1, 0), DepthUnavailable),
+           (pts(-1, 0), ValueError)]
+    for _ in range(2):
+        for cyl, error in bad:
+            with pytest.raises(error):
+                correlation_bounds(2, good, cyl, lv, 3)
+            with pytest.raises(error):
+                correlation_bounds(2, cyl, good, lv, 3)
+            with pytest.raises(error):
+                apply_power(2, cyl, lv, 3)
+        for max_depth in (1, 0):  # the pair is cached at budget 3
+            with pytest.raises(DepthUnavailable, match="must exceed"):
+                correlation_bounds(2, good, good, lv, max_depth)
+    assert correlation_bounds(2, good, good, lv, 3) == want
+    assert [key for key in lv._cache if key[0] == "pair"] == [("pair", good, good)]
 
 
 def test_negative_stage_rejected(levels_r3z1):

@@ -83,13 +83,18 @@ def test_oracle_counts_repeated_points_once():
 @pytest.mark.parametrize("points", [[20], [-1], [9], [0, 9]])
 def test_oracle_rejects_points_outside_the_tower(points):
     # h_1 = 9: these used to come back as an enclosure instead of an error
+    # they raise on every call, also once a pair sharing the valid side is
+    # cached, and leave no per-pair entry behind
     lv = build_levels(Schedule("t", 1, const(3), const(1)), 5)
     with pytest.raises(ValueError):
         CylinderSet.from_points(1, points).validate(lv)
-    with pytest.raises(ValueError):
-        oracle_correlation_bounds(0, 1, points, 1, [0], lv, 3)
-    with pytest.raises(ValueError):
-        oracle_correlation_bounds(0, 1, [0], 1, points, lv, 3)
+    oracle_correlation_bounds(0, 1, [0], 1, [0], lv, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            oracle_correlation_bounds(0, 1, points, 1, [0], lv, 3)
+        with pytest.raises(ValueError):
+            oracle_correlation_bounds(0, 1, [0], 1, iter(points), lv, 3)
+    assert sum(key[0] == "oracle-pair" for key in lv._cache) == 1
 
 
 @pytest.mark.parametrize("m", [2**63, -2**63, 2**63 - 1, 10**40])
@@ -203,6 +208,25 @@ def test_shared_oracle_memo_matches_fresh_reference(data):
         fresh = build_levels(levels.schedule, levels.depth)
         assert oracle_correlation_bounds(m, a_level, a_pts, b_level, b_pts, levels, depth) \
             == _set_count_reference(m, a_level, a_pts, b_level, b_pts, fresh, depth)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_oracle_pair_entry_ignores_how_the_points_are_given(data):
+    # each spelling of one pair (list, tuple, generator, unsorted, repeated
+    # points) has its own per-pair entry; all read the reference enclosure
+    # at two shifts, whichever spelling is asked first
+    levels = data.draw(oracle_towers())
+    m, a_level, a_pts, b_level, b_pts, depth = data.draw(oracle_queries(levels))
+    m2 = data.draw(st.integers(-2 * levels.h[depth], 2 * levels.h[depth]))
+    spellings = [list, tuple, lambda p: (x for x in p), lambda p: sorted(p, reverse=True),
+                 lambda p: list(p) * 2]
+    order = data.draw(st.permutations([(f, g) for f in spellings for g in spellings]))
+    for shift in (m, m2):
+        want = _set_count_reference(shift, a_level, a_pts, b_level, b_pts, levels, depth)
+        for fa, fb in order:
+            assert oracle_correlation_bounds(shift, a_level, fa(a_pts), b_level, fb(b_pts),
+                                             levels, depth) == want
 
 
 def test_expand_points_rejects_overlapping_copies(sched_r3z1):
