@@ -103,8 +103,11 @@ def _write(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # the command's handler and the options that only shape the output
@@ -121,6 +124,10 @@ def _config(args, **overrides) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_build(args) -> int:
+    try:
+        threshold = Fraction(args.growth_threshold)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"bad --growth-threshold: {exc}") from exc
     doc = _load_schedule_doc(args.schedule)
     sched = schedule_from_json(doc)
     levels = build_levels(sched, args.depth)
@@ -139,10 +146,6 @@ def cmd_build(args) -> int:
         "measure": reports.measure_report_json(measure_report(levels)),
     }
     if levels.depth >= 2:
-        try:
-            threshold = Fraction(args.growth_threshold)
-        except (ArithmeticError, ValueError) as exc:
-            raise ConfigError(f"bad --growth-threshold: {exc}") from exc
         report["growth"] = reports.growth_report_json(
             check_restricted_growth(levels, threshold)
         )

@@ -22,16 +22,21 @@ refined points and differences p - q are kept per pair and depth, so a
 call costs only the lag sum and the residual's two binary searches.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
+numpy is imported only when the oracle is first used, so `import cfrank`
+and the command-line front end, which never calls the oracle, do not load
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DepthUnavailable, Enclosure, OffsetOverlap
 from .towers import TowerLevels
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_SAFE = 1 << 60  # keep well inside int64
 
@@ -44,6 +49,8 @@ class _Lags(dict):
         self.s, self.h = s, h
 
     def __missing__(self, d: int) -> int:
+        import numpy as np
+
         s = self.s
         n = int(np.searchsorted(s, self.h - d))  # s + d stays inside the tower
         merged = np.empty(n + s.size, dtype=np.int64)
@@ -58,6 +65,8 @@ def _base(levels: TowerLevels, k: int, depth: int) -> _Lags:
     """The sumset C_k + ... + C_{depth-1} with its lag counts, memoized."""
     key = ("oracle", k, depth)
     if key not in levels._cache:
+        import numpy as np
+
         levels.require_depth(depth)
         if levels.h[depth] >= _MAX_SAFE:
             raise ValueError(
@@ -80,6 +89,8 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     Repeated points count once; points outside [0, h_cyl_level) raise
     ValueError.  The result is a strictly increasing int64 array.
     """
+    import numpy as np
+
     levels.require_depth(cyl_level)
     pts = sorted({int(p) for p in points})
     h = levels.h[cyl_level]
@@ -96,6 +107,8 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     Orbit points that leave the enumerated tower widen the result into the
     same [lower, upper] enclosure the main path reports at that depth.
     """
+    import numpy as np
+
     a_pts, b_pts = tuple(a_points), tuple(b_points)
     key = ("oracle-pair", a_level, a_pts, b_level, b_pts, depth)
     entry = levels._cache.get(key)

@@ -68,6 +68,29 @@ def test_build_bad_growth_threshold_exit_2(threshold, sched_path, tmp_path, caps
     assert capsys.readouterr().err.startswith("cfrank: bad --growth-threshold: ")
 
 
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_build_bad_growth_threshold_exit_2_below_depth_2(depth, sched_path, tmp_path, capsys):
+    # below depth 2 no growth check runs; the threshold used to go unparsed
+    # and land in the report's config
+    code, text = run_main(["build", "--schedule", sched_path, "--depth", depth,
+                           "--growth-threshold", "abc"], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("cfrank: bad --growth-threshold: ")
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "."])
+def test_build_unwritable_out_exit_2(out, sched_path, tmp_path, capsys):
+    # a missing directory or a directory as --out used to escape as a
+    # FileNotFoundError / IsADirectoryError traceback (exit 1)
+    code = main(["build", "--schedule", sched_path, "--depth", "3",
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfrank: cannot write {tmp_path / out}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_build_parse_error_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
@@ -332,6 +355,28 @@ def test_report_embeds_rerunnable_config(sched_path, tmp_path):
     out2 = tmp_path / "b.json"
     code, text2 = run_main(args2, out2)
     assert text1 == text2
+
+
+def test_cli_does_not_import_numpy(sched_path, tmp_path):
+    # a fresh interpreter: other tests in this process have loaded numpy
+    script = f"""
+import sys
+from fractions import Fraction
+import cfrank, cfrank.cli
+assert cfrank.cli.main(["scan-mixing", "--schedule", {sched_path!r}, "--depth", "3",
+                        "--stages", "0:2", "--samples", "4",
+                        "--out", {str(tmp_path / "scan.json")!r}]) == 0
+assert "numpy" not in sys.modules
+lv = cfrank.build_levels(cfrank.load_schedule({sched_path!r}), 4)
+A = cfrank.CylinderSet.from_points(1, [0, 4, 7])
+B = cfrank.CylinderSet.from_points(2, [3, 10, 30])
+orc = cfrank.oracle_correlation_bounds(42, 1, [0, 4, 7], 2, [3, 10, 30], lv, 4)
+assert "numpy" in sys.modules
+assert orc == cfrank.correlation_bounds(42, A, B, lv, 4) == (Fraction(10, 81), Fraction(17, 81))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(sched_path, tmp_path):
