@@ -28,10 +28,11 @@ print("refine [{0}]_0 to stage 1:", sorted(refine(base, 1, levels).levels_set.po
 print("refine [{0}]_0 to stage 2:", sorted(refine(base, 2, levels).levels_set.points()))
 
 # T^8 pushes part of the cylinder past the stage-2 window
-dec = apply_power(8, base, levels, max_depth=2)
+shallow = 2
+dec = apply_power(8, base, levels, max_depth=shallow)
 for piece in dec.pieces:
     print(f"piece at stage {piece.level}: {sorted(piece.levels_set.points())}")
-print("residual at stage", dec.residual_level, "=", dec.residual)
+print("residual at stage", shallow, "=", dec.residual)
 print("measure conserved:", dec.total_measure(levels) == base.measure(levels))
 
 # with one more stage of headroom the decomposition resolves further

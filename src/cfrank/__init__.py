@@ -42,10 +42,9 @@ from .mixing import (
     sqrt_enclosure,
     stage_term_decomposition,
     stratified_times,
-    weak_limit_discrepancy,
     weak_limit_discrepancy_bounds,
 )
-from .oracle import expand_points, oracle_correlation, oracle_correlation_bounds
+from .oracle import expand_points, oracle_correlation_bounds
 from .schedule import Schedule, concatenate, load_schedule, schedule_from_json, schedule_to_json
 from .sequences import SequenceSpec, affine, const, explicit, geometric
 from .spectral import (
@@ -106,7 +105,6 @@ __all__ = [
     "intersect_measure",
     "load_schedule",
     "measure_report",
-    "oracle_correlation",
     "oracle_correlation_bounds",
     "product_correlation",
     "refine",
@@ -117,6 +115,5 @@ __all__ = [
     "sqrt_enclosure",
     "stage_term_decomposition",
     "stratified_times",
-    "weak_limit_discrepancy",
     "weak_limit_discrepancy_bounds",
 ]

@@ -72,7 +72,6 @@ class PieceDecomposition:
 
     pieces: tuple[CylinderSet, ...]
     residual: Fraction = Fraction(0)
-    residual_level: int | None = None
 
     def __post_init__(self):
         by_level: dict[int, IntervalSet] = {}
@@ -128,7 +127,6 @@ def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
     level = cyl.level
     current = cyl.levels_set
     residual = Fraction(0)
-    residual_level = None
     while current:
         h = levels.h[level]
         inside = current.clip(-m, h - m)
@@ -139,11 +137,10 @@ def apply_power(m: int, cyl: CylinderSet, levels: TowerLevels,
             break
         if level == max_depth:
             residual = Fraction(rest.cardinality, levels.cuts_product[level])
-            residual_level = level
             break
         current = rest.translate_by_offsets(levels.offsets[level])
         level += 1
-    return PieceDecomposition(_canonical_pieces(pieces), residual, residual_level)
+    return PieceDecomposition(_canonical_pieces(pieces), residual)
 
 
 class _Refinement:
@@ -255,15 +252,18 @@ class _DifferenceCounts:
 
 
 def _pair_kernel(A: CylinderSet, B: CylinderSet,
-                 levels: TowerLevels) -> tuple[_DifferenceCounts, int, _Refinement]:
-    """The pair's class kernel, the shift ub - ua, and A's refinement.
+                 levels: TowerLevels) -> tuple[_DifferenceCounts, int, int]:
+    """The pair's class kernel and the lowest levels ua, ub of A and B.
 
-    With ua, ub the lowest levels of A, B and A0 = A - ua, B0 = B - ub,
+    With A0 = A - ua and B0 = B - ub,
 
         E_{A,B}(n, t) = E_{A0,B0}(n, t - (ub - ua)),
 
     so every pair with the same stages and interval shapes shares one
-    kernel; the residual and a B deeper than the budget still need A.
+    kernel, kept on the tower as ("diff", A0, B0); it depends on neither m
+    nor the depth budget.  The residual and a B deeper than the budget
+    need A's ranks, which are the kernel's A0 ranks read at x - ua, since
+    A^N = A0^N + ua.  ("pair", A, B) maps the pair to (kernel, ua, ub).
     Both cylinders are validated here, once per pair entry: the tower is
     immutable and nothing is cached for a pair that fails.
     """
@@ -279,7 +279,7 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
         kernel = levels._cache.get(class_key)
         if kernel is None:
             kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0)
-        hit = levels._cache[pair_key] = (kernel, ub - ua, _Refinement(A))
+        hit = levels._cache[pair_key] = (kernel, ua, ub)
     return hit
 
 
@@ -334,13 +334,14 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     that decomposition's residual.
     """
     _require_room(A, levels, max_depth)
-    kernel, shift, a = _pair_kernel(A, B, levels)
+    kernel, ua, ub = _pair_kernel(A, B, levels)
+    a, x = kernel.a, -m - ua  # A's rank at y is A0's rank at y - ua
     n = max_depth
     if B.level <= n:
-        hits, stage = kernel.count(levels, n, m - shift), n
+        hits, stage = kernel.count(levels, n, m - (ub - ua)), n
     else:
-        hits, stage = a.count_in(levels, n, _shadows(levels, B, n), -m), B.level
-    lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m) + a.rank(levels, n, -m)
+        hits, stage = a.count_in(levels, n, _shadows(levels, B, n), x), B.level
+    lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] + x) + a.rank(levels, n, x)
     if not lost:
         value = Fraction(hits, levels.cuts_product[stage])
         return Enclosure(value, value)

@@ -33,25 +33,14 @@ class InvalidP(CFRankError):
 class DepthExhausted(CFRankError):
     """Spillover could not be fully resolved within the allowed depth.
 
-    Carries the exactly resolved part and the unresolved residual measure,
-    so the true value lies in [lower, lower + residual].
+    Carries the exact enclosure [resolved lower bound, lower + residual]
+    of the true value as `interval`.
     """
 
-    def __init__(self, lower: Fraction, residual: Fraction, message: str | None = None):
-        self.lower = Fraction(lower)
-        self.residual = Fraction(residual)
-        super().__init__(
-            message
-            or f"unresolved residual {self.residual} (resolved lower bound {self.lower})"
-        )
-
-    @property
-    def upper(self) -> Fraction:
-        return self.lower + self.residual
-
-    @property
-    def interval(self) -> Enclosure:
-        return Enclosure(self.lower, self.upper)
+    def __init__(self, interval: Enclosure):
+        self.interval = interval
+        lo, hi = interval
+        super().__init__(f"unresolved residual {hi - lo} (resolved lower bound {lo})")
 
 
 class Enclosure(NamedTuple):
@@ -100,4 +89,4 @@ class Enclosure(NamedTuple):
         """The value if resolved, else DepthExhausted carrying this interval."""
         if self.lower == self.upper:
             return self.lower
-        raise DepthExhausted(self.lower, self.upper - self.lower)
+        raise DepthExhausted(self)

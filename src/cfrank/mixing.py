@@ -26,22 +26,23 @@ from .towers import TowerLevels
 
 Pair = tuple[CylinderSet, CylinderSet]
 
+SQRT_BITS = 64  # every square-root enclosure is at most 2**-SQRT_BITS wide
 
-def sqrt_enclosure(x: Fraction, precision_bits: int = 64) -> Enclosure:
-    """Exact rational [lo, hi] with lo <= sqrt(x) <= hi, hi - lo <= 2**-precision_bits."""
+
+def sqrt_enclosure(x: Fraction) -> Enclosure:
+    """Exact rational [lo, hi] with lo <= sqrt(x) <= hi, hi - lo <= 2**-SQRT_BITS."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of a negative rational")
     if x == 0:
         return Enclosure(Fraction(0), Fraction(0))
     p, q = x.numerator, x.denominator
-    k = max(precision_bits, 0)
-    n = (p * q) << (2 * k)
+    n = (p * q) << (2 * SQRT_BITS)
     s = isqrt(n)
-    lo = Fraction(s, q << k)
+    lo = Fraction(s, q << SQRT_BITS)
     if s * s == n:
         return Enclosure(lo, lo)
-    return Enclosure(lo, Fraction(s + 1, q << k))
+    return Enclosure(lo, Fraction(s + 1, q << SQRT_BITS))
 
 
 def canonical_test_set(levels: TowerLevels) -> list[Pair]:
@@ -67,9 +68,7 @@ def stratified_times(levels: TowerLevels, stage: int, count: int) -> list[int]:
         return []
     if hi - lo <= count:
         return list(range(lo, hi))
-    pts = {lo, hi - 1}
-    if lo <= H < hi:
-        pts.add(H)
+    pts = {lo, H, hi - 1}
     quota = max(count - len(pts), 0)
     q0 = quota // 2
     q1 = quota - q0
@@ -77,7 +76,7 @@ def stratified_times(levels: TowerLevels, stage: int, count: int) -> list[int]:
         pts.add(lo + j * (H - lo) // (q0 + 1))
     for j in range(1, q1 + 1):
         pts.add(H + j * H // (q1 + 1))
-    return sorted(p for p in pts if lo <= p < hi)
+    return sorted(pts)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,8 @@ class _CesaroSeries:
 
     Lengths are finished in increasing order (see cesaro_norm), so the
     first unresolved c_p raises DepthExhausted for every longer average
-    and leaves the shorter ones intact.
+    and leaves the shorter ones intact.  roots[l] is the square-root
+    enclosure of the length-l norm.
     """
 
     __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
@@ -152,7 +152,7 @@ class _CesaroSeries:
         self.k, self.B, self.max_depth = k, B, max_depth
         self.s0 = self.s1 = Fraction(0)
         self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
-        self.roots: dict[tuple[int, int], Enclosure] = {}
+        self.roots: dict[int, Enclosure] = {}
 
     def norm(self, levels: TowerLevels, l: int) -> Fraction:
         while len(self.norms) < l:
@@ -165,15 +165,17 @@ class _CesaroSeries:
                               + Fraction(2 * (n * self.s0 - self.s1), n * n))
         return self.norms[l - 1]
 
-    def root(self, levels: TowerLevels, l: int, precision_bits: int) -> Enclosure:
-        key = (l, precision_bits)
-        if key not in self.roots:
-            self.roots[key] = sqrt_enclosure(self.norm(levels, l), precision_bits)
-        return self.roots[key]
+    def root(self, levels: TowerLevels, l: int) -> Enclosure:
+        if l not in self.roots:
+            self.roots[l] = sqrt_enclosure(self.norm(levels, l))
+        return self.roots[l]
 
 
 def _cesaro_series(k: int, B: CylinderSet, levels: TowerLevels,
                    max_depth: int) -> _CesaroSeries:
+    """The series of (k, B, max_depth), kept on the tower as
+    ("cesaro", k, B, max_depth): its correlation prefix sums serve every
+    length of the averaging grid."""
     key = ("cesaro", k, B, max_depth)
     series = levels._cache.get(key)
     if series is None:
@@ -220,8 +222,7 @@ class InequalityReport:
 
 
 def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
-                               levels: TowerLevels, max_depth: int,
-                               precision_bits: int = 64) -> InequalityReport:
+                               levels: TowerLevels, max_depth: int) -> InequalityReport:
     if min(R, L, r) < 1:
         raise ValueError("R, L, r must all be >= 1")
     lhs_series = _cesaro_series(1, B, levels, max_depth)
@@ -231,9 +232,8 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     lhs_sq = lhs_series.norm(levels, R)
     rhs_norm_sq = rhs_series.norm(levels, L)
     s = Fraction(r * L, R)
-    lhs = lhs_series.root(levels, R, precision_bits)
-    rhs = (rhs_series.root(levels, L, precision_bits)
-           + s * lhs_series.root(levels, 1, precision_bits))
+    lhs = lhs_series.root(levels, R)
+    rhs = rhs_series.root(levels, L) + s * lhs_series.root(levels, 1)
     if lhs.upper <= rhs.lower:
         holds, decided = True, "enclosure"
     elif lhs.lower > rhs.upper:
@@ -271,14 +271,6 @@ class WeakLimitTarget:
 
     def items(self):
         return sorted(self.coefficients.items())
-
-
-def weak_limit_discrepancy(times: Sequence[int], target: WeakLimitTarget,
-                           test_sets: Sequence[Pair], levels: TowerLevels,
-                           max_depth: int) -> list[Fraction]:
-    """Exact values of weak_limit_discrepancy_bounds, or DepthExhausted."""
-    return [e.exact() for e in
-            weak_limit_discrepancy_bounds(times, target, test_sets, levels, max_depth)]
 
 
 def weak_limit_discrepancy_bounds(times: Sequence[int], target: WeakLimitTarget,
@@ -350,8 +342,9 @@ def stage_term_decomposition(stage: int, A: CylinderSet, B: CylinderSet,
     """Compute both sides of the finite-stage weak-limit identity exactly.
 
     The per-subtower pieces are computed independently (apply_power on each
-    translated copy one stage deeper), so agreement with the closed-form
-    terms is a genuine cross-check, not a tautology.
+    translated copy one stage deeper, lhs by the correlation kernel), so
+    agreement with the closed-form terms is a genuine cross-check, not a
+    tautology.
     """
     if A.level != stage or B.level != stage:
         raise ValueError("A and B must live at the decomposed stage")
@@ -384,12 +377,9 @@ def stage_term_decomposition(stage: int, A: CylinderSet, B: CylinderSet,
         dec = apply_power(H, copy, levels, max_depth)
         piece = intersect_measure(dec, B, levels)
         if dec.residual:
-            raise DepthExhausted(piece, dec.residual)
+            raise DepthExhausted(Enclosure(piece, piece + dec.residual))
         pieces.append(piece)
     top_term = pieces[-1]
-    dec_full = apply_power(H, A, levels, max_depth)
-    if dec_full.residual:
-        raise DepthExhausted(intersect_measure(dec_full, B, levels), dec_full.residual)
-    lhs = intersect_measure(dec_full, B, levels)
+    lhs = correlation(H, A, B, levels, max_depth)
     return StageTermDecomposition(stage, r, d, prefix_term, tail_terms, top_term,
                                   tuple(pieces), lhs)

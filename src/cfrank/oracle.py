@@ -62,7 +62,11 @@ class _Lags(dict):
 
 
 def _base(levels: TowerLevels, k: int, depth: int) -> _Lags:
-    """The sumset C_k + ... + C_{depth-1} with its lag counts, memoized."""
+    """The sumset C_k + ... + C_{depth-1} with its lag counts so far.
+
+    Kept on the tower as ("oracle", k, depth), sized by the sumset:
+    r_k * ... * r_{depth-1} int64 points.
+    """
     key = ("oracle", k, depth)
     if key not in levels._cache:
         import numpy as np
@@ -106,6 +110,12 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
 
     Orbit points that leave the enumerated tower widen the result into the
     same [lower, upper] enclosure the main path reports at that depth.
+
+    ("oracle-pair", a_level, a_pts, b_level, b_pts, depth) keeps one pair
+    on the tower: A's points refined to stage k = max(a_level, b_level)
+    (|A_k| int64), the |A_k| * |B_k| differences p - q as Python ints, and
+    the (k, depth) lag counts it shares with the ("oracle", k, depth)
+    entry.  Its points are validated once, when it is built.
     """
     import numpy as np
 
@@ -128,10 +138,3 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     lost = int(np.searchsorted(s, -m - pa).sum()) \
         + pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum())
     return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))
-
-
-def oracle_correlation(m: int, a_level: int, a_points, b_level: int, b_points,
-                       levels: TowerLevels, depth: int) -> Fraction:
-    """Exact oracle value, or DepthExhausted carrying the enclosure."""
-    return oracle_correlation_bounds(m, a_level, a_points, b_level, b_points,
-                                     levels, depth).exact()

@@ -20,9 +20,9 @@ def frac_json(x: Fraction) -> dict:
     return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
 
 
-def frac_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
+def frac_decimal(x: Fraction) -> str:
     ctx = getcontext().copy()
-    ctx.prec = digits
+    ctx.prec = DECIMAL_DIGITS
     return str(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)))
 
 

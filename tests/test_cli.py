@@ -91,6 +91,15 @@ def test_build_unwritable_out_exit_2(out, sched_path, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_build_past_size_cap_exit_2(sched_path, tmp_path, capsys):
+    code = main(["build", "--schedule", sched_path, "--depth", "200000",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfrank: depth 200000 needs at least ")
+    assert " bits of tower data by stage " in err
+
+
 def test_build_parse_error_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")

@@ -20,7 +20,6 @@ from cfrank import (
     sqrt_enclosure,
     stage_term_decomposition,
     stratified_times,
-    weak_limit_discrepancy,
 )
 from cfrank.errors import DepthExhausted
 from cfrank.mixing import outside_proof_window, weak_limit_discrepancy_bounds
@@ -280,22 +279,24 @@ def test_inequality_random_grid(levels_r3_zramp):
 
 def test_weak_limit_identity_target(levels_r3_zramp):
     b = pts(0, 0)
-    assert weak_limit_discrepancy([0], WeakLimitTarget.identity(),
-                                  [(b, b)], levels_r3_zramp, 4) == [0]
+    (disc,) = weak_limit_discrepancy_bounds([0], WeakLimitTarget.identity(),
+                                            [(b, b)], levels_r3_zramp, 4)
+    assert disc.exact() == 0
 
 
 def test_weak_limit_empty_target_is_plain_correlation(levels_r3_zramp):
     lv = levels_r3_zramp
     b = pts(0, 0)
-    disc = weak_limit_discrepancy([1, 2, 3], WeakLimitTarget({}), [(b, b)], lv, 4)
-    assert disc == [abs(correlation(m, b, b, lv, 4)) for m in (1, 2, 3)]
+    disc = weak_limit_discrepancy_bounds([1, 2, 3], WeakLimitTarget({}), [(b, b)], lv, 4)
+    assert [e.exact() for e in disc] == [abs(correlation(m, b, b, lv, 4)) for m in (1, 2, 3)]
 
 
 def test_weak_limit_propagates_depth_exhausted(levels_r3_zramp):
     b = pts(0, 0)
+    (disc,) = weak_limit_discrepancy_bounds([8], WeakLimitTarget.identity(),
+                                            [(b, b)], levels_r3_zramp, 2)
     with pytest.raises(DepthExhausted):
-        weak_limit_discrepancy([8], WeakLimitTarget.identity(),
-                               [(b, b)], levels_r3_zramp, 2)
+        disc.exact()
 
 
 def test_weak_limit_bounds_negative_coefficient(sched_r3z1):
@@ -388,6 +389,18 @@ def test_stage_term_decomposition_all_pairs(levels_partial):
             assert dec.piece_terms[0] == dec.prefix_term  # d = 1 prefix subtower
             assert dec.piece_terms[1] == dec.tail_terms[0]
             assert dec.piece_terms[2] == dec.top_term
+
+
+def test_stage_term_decomposition_depth_exhausted():
+    lv = build_levels(Schedule("t", 1, const(3), const(1)), 6)
+    A, B = pts(1, 5), pts(1, 1)
+    with pytest.raises(DepthExhausted) as exc:
+        stage_term_decomposition(1, A, B, lv, 3)
+    lo, hi = exc.value.interval
+    assert (lo, hi) == (Fraction(1, 27), Fraction(2, 27))
+    dec = stage_term_decomposition(1, A, B, lv, 6)
+    assert dec.lhs == Fraction(1, 27)
+    assert lo <= dec.lhs <= hi
 
 
 def test_stage_term_decomposition_high_staircase(levels_r3_zramp):

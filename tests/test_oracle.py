@@ -16,7 +16,7 @@ from cfrank import (
     refine,
 )
 from cfrank.errors import DepthExhausted, DepthUnavailable, OffsetOverlap
-from cfrank.oracle import expand_points, oracle_correlation, oracle_correlation_bounds
+from cfrank.oracle import expand_points, oracle_correlation_bounds
 from cfrank.towers import TowerLevels
 
 
@@ -30,14 +30,14 @@ def test_expand_matches_refine(levels_r3_zramp):
 
 def test_oracle_known_values(levels_r3_zramp):
     lv = levels_r3_zramp
-    assert oracle_correlation(1, 0, [0], 0, [0], lv, 3) == 0
-    assert oracle_correlation(2, 0, [0], 0, [0], lv, 3) == Fraction(1, 3)
+    assert oracle_correlation_bounds(1, 0, [0], 0, [0], lv, 3).exact() == 0
+    assert oracle_correlation_bounds(2, 0, [0], 0, [0], lv, 3).exact() == Fraction(1, 3)
 
 
 def test_oracle_residual_matches_main_path(levels_r3_zramp):
     lv = levels_r3_zramp
     with pytest.raises(DepthExhausted) as exc:
-        oracle_correlation(8, 0, [0], 0, [0], lv, 2)
+        oracle_correlation_bounds(8, 0, [0], 0, [0], lv, 2).exact()
     assert exc.value.interval == correlation_bounds(
         8, CylinderSet.from_points(0, [0]), CylinderSet.from_points(0, [0]), lv, 2
     )
@@ -67,7 +67,7 @@ def test_oracle_rejects_depth_shallower_than_a_cylinder():
         expand_points(3, [5], 1, lv)
     with pytest.raises(DepthUnavailable):
         oracle_correlation_bounds(5, 0, [0], 3, [5], lv, 1)
-    assert oracle_correlation(5, 0, [0], 3, [5], lv, 3) == Fraction(1, 27)
+    assert oracle_correlation_bounds(5, 0, [0], 3, [5], lv, 3).exact() == Fraction(1, 27)
 
 
 def test_oracle_counts_repeated_points_once():

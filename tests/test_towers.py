@@ -20,6 +20,7 @@ from cfrank.errors import (
     InvalidSchedule,
     OffsetOverlap,
 )
+from cfrank.towers import MAX_TOWER_BITS
 
 
 def test_high_staircase_recurrence_small():
@@ -115,6 +116,29 @@ def test_growth_verdicts():
     rep3 = check_restricted_growth(doubling)
     assert all(a < b for a, b in zip(rep3.g, rep3.g[1:]))
     assert rep3.verdict == "FAIL"
+
+
+def test_growth_verdict_reads_the_last_step():
+    # a flat last step is not a decreasing tail, even at the threshold
+    flat = build_levels(Schedule("f", 1, explicit([2, 4, 8]), const(0)), 2)
+    rep = check_restricted_growth(flat, threshold=8)
+    assert rep.g == (Fraction(8), Fraction(8))
+    assert rep.verdict == "INCONCLUSIVE"
+    # one falling step after the flat one is enough
+    falls = build_levels(Schedule("f", 1, explicit([2, 4, 8, 3]), const(0)), 3)
+    rep2 = check_restricted_growth(falls, threshold=1)
+    assert rep2.g == (Fraction(8), Fraction(8), Fraction(9, 64))
+    assert rep2.verdict == "PASS"
+
+
+def test_build_levels_caps_tower_size():
+    # r = 3 passes the cap a few thousand stages in, long before a depth
+    # of a million would exhaust memory
+    with pytest.raises(ValueError, match=f"past the cap of {MAX_TOWER_BITS}"):
+        build_levels(Schedule("r3", 1, const(3), const(1)), 10**6)
+    # a huge r_n is refused before its offsets are built
+    with pytest.raises(ValueError, match="by stage 0"):
+        build_levels(Schedule("wide", 1, const(2**40), const(0)), 1)
 
 
 def test_growth_needs_depth_two():
