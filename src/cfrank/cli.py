@@ -10,6 +10,13 @@ Exit codes: 0 success, 2 config/parse error, 3 schedule invariant
 violation, 4 unresolved depth: with --strict for the commands that report
 enclosures (scan-mixing, weak-limits), always for the commands that report
 exact values only (cesaro, inequality, spectrum).
+
+One path runs every command: main parses the options, and its helper _run
+loads the schedule, builds the tower, calls the command and writes the
+text it returns to --out; main then turns an unresolved report under
+--strict into exit 4.  A command only computes its report.  A report that
+would need an integer longer than the interpreter prints
+(sys.get_int_max_str_digits()) exits 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class ConfigError(Exception):
     pass
 
 
-def _load_json_arg(raw: str):
+def _load_json(raw: str, what: str = "JSON argument"):
     """Inline JSON, or @path to read from a file."""
     try:
         if raw.startswith("@"):
@@ -58,15 +65,7 @@ def _load_json_arg(raw: str):
                 return json.load(fh)
         return json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read JSON argument: {exc}") from exc
-
-
-def _load_schedule_doc(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read schedule {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def parse_cylinder(doc) -> CylinderSet:
@@ -81,7 +80,7 @@ def parse_cylinder(doc) -> CylinderSet:
 def _parse_tests(raw: str, levels) -> tuple[list, str]:
     if raw == "canonical":
         return canonical_test_set(levels), "canonical"
-    doc = _load_json_arg(raw)
+    doc = _load_json(raw)
     try:
         pairs = [(parse_cylinder(a), parse_cylinder(b)) for a, b in doc]
     except (TypeError, ValueError) as exc:
@@ -114,127 +113,88 @@ def _write(text: str, out: str):
 _NOT_CONFIG = ("fn", "out", "format", "decimal", "strict")
 
 
-def _config(args, **overrides) -> dict:
-    """The parsed options a report is a function of, as the report embeds them."""
-    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    config.update(overrides)
-    return config
-
-
 # ---------------------------------------------------------------- commands
+#
+# Each command takes the parsed options, the config its report embeds and
+# the tower main built (None for concat and poisson-mult), and returns the
+# report text plus whether any entry is unresolved.
 
-def cmd_build(args) -> int:
-    try:
-        threshold = Fraction(args.growth_threshold)
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"bad --growth-threshold: {exc}") from exc
-    doc = _load_schedule_doc(args.schedule)
-    sched = schedule_from_json(doc)
-    levels = build_levels(sched, args.depth)
+def cmd_build(args, config, levels):
     report = {
-        "config": _config(args, schedule=doc),
-        "name": sched.name,
+        "config": config,
+        "name": levels.schedule.name,
         "depth": levels.depth,
-        "h": [str(x) for x in levels.h],
-        "bigH": [str(x) for x in levels.bigH],
+        "h": [reports.digits(x) for x in levels.h],
+        "bigH": [reports.digits(x) for x in levels.bigH],
         "cut_counts": list(levels.r[:levels.depth]),
-        "spacer_heights": [str(z) for z in levels.z],
+        "spacer_heights": [reports.digits(z) for z in levels.z],
         "prefix_widths": list(levels.d),
         "prefix_ratio": [reports.frac_json(Fraction(levels.d[n], levels.r[n]))
                          for n in range(levels.depth)],
         "offset_set_sizes": [len(c) for c in levels.offsets],
-        "measure": reports.measure_report_json(measure_report(levels)),
+        "measure": reports.report_json(measure_report(levels)),
     }
     if levels.depth >= 2:
-        report["growth"] = reports.growth_report_json(
-            check_restricted_growth(levels, threshold)
+        report["growth"] = reports.report_json(
+            check_restricted_growth(levels, args.growth_threshold)
         )
-    _write(reports.canonical_json(report), args.out)
-    return EXIT_OK
+    return reports.canonical_json(report), False
 
 
-def cmd_concat(args) -> int:
-    doc = _load_schedule_doc(args.schedule)
-    sched = schedule_from_json(doc)
-    _write(reports.canonical_json(schedule_to_json(sched)), args.out)
-    return EXIT_OK
+def cmd_concat(args, config, levels):
+    flat = schedule_to_json(schedule_from_json(config["schedule"]))
+    return reports.canonical_json(flat), False
 
 
-def _levels_for(args):
-    doc = _load_schedule_doc(args.schedule)
-    sched = schedule_from_json(doc)
-    if args.max_depth < args.depth:
-        raise ConfigError(f"--max-depth {args.max_depth} must be >= --depth {args.depth}")
-    return doc, build_levels(sched, args.max_depth)
-
-
-def cmd_scan_mixing(args) -> int:
-    doc, levels = _levels_for(args)
+def cmd_scan_mixing(args, config, levels):
     tests, label = _parse_tests(args.tests, levels)
     stages = _parse_stages(args.stages)
     report = scan_mixing_intervals(levels, tests, stages, args.samples,
                                    args.power, args.max_depth, test_set_label=label)
     unresolved = any(not s.exact for s in report.stages)
     if args.format == "csv":
-        text = reports.decay_report_csv(report, decimal=args.decimal)
-    else:
-        body = reports.decay_report_json(report)
-        body["config"] = _config(args, schedule=doc)
-        text = reports.canonical_json(body)
-    _write(text, args.out)
-    if unresolved and args.strict:
-        return EXIT_DEPTH
-    return EXIT_OK
+        return reports.decay_report_csv(report, decimal=args.decimal), unresolved
+    body = reports.decay_report_json(report)
+    body["config"] = config
+    return reports.canonical_json(body), unresolved
 
 
-def cmd_weak_limits(args) -> int:
-    doc, levels = _levels_for(args)
+def cmd_weak_limits(args, config, levels):
     tests, label = _parse_tests(args.tests, levels)
-    target_doc = _load_json_arg(args.target)
+    target_doc = _load_json(args.target)
     try:
         target = WeakLimitTarget({int(j): Fraction(a) for j, a in target_doc.items()})
     except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad --target: {exc}") from exc
     times = [int(t) for t in args.times.split(",") if t]
     bounds = weak_limit_discrepancy_bounds(times, target, tests, levels, args.max_depth)
-    unresolved = any(lo != hi for lo, hi in bounds)
-    rows = [
-        {"m": str(m), "discrepancy": reports.enclosure_json(lo, hi)}
-        for m, (lo, hi) in zip(times, bounds)
-    ]
+    config["target"] = {str(j): str(a) for j, a in target.items()}
     body = {
-        "config": _config(args, schedule=doc,
-                          target={str(j): str(a) for j, a in target.items()}),
+        "config": config,
         "target": {str(j): reports.frac_json(a) for j, a in target.items()},
         "test_set": label,
         "outside_proof_window": any(outside_proof_window(p, levels) for p in tests),
-        "discrepancies": rows,
+        "discrepancies": [
+            {"m": reports.digits(m), "discrepancy": reports.enclosure_json(lo, hi)}
+            for m, (lo, hi) in zip(times, bounds)
+        ],
     }
-    _write(reports.canonical_json(body), args.out)
-    if unresolved and args.strict:
-        return EXIT_DEPTH
-    return EXIT_OK
+    return reports.canonical_json(body), any(lo != hi for lo, hi in bounds)
 
 
-def cmd_cesaro(args) -> int:
-    doc, levels = _levels_for(args)
-    B = parse_cylinder(_load_json_arg(args.cylinder))
-    value = cesaro_norm(args.k, args.l, B, levels, args.max_depth)
-    body = {
-        "config": _config(args, schedule=doc),
+def cmd_cesaro(args, config, levels):
+    value = cesaro_norm(args.k, args.l, args.cylinder, levels, args.max_depth)
+    return reports.canonical_json({
+        "config": config,
         "squared_norm": reports.frac_json(value),
-    }
-    _write(reports.canonical_json(body), args.out)
-    return EXIT_OK
+    }), False
 
 
-def cmd_inequality(args) -> int:
-    doc, levels = _levels_for(args)
-    B = parse_cylinder(_load_json_arg(args.cylinder))
-    rep = check_averaging_inequality(args.R, args.L, args.r, B, levels,
+def cmd_inequality(args, config, levels):
+    rep = check_averaging_inequality(args.R, args.L, args.r, args.cylinder, levels,
                                      args.max_depth)
-    body = {
-        "config": _config(args, schedule=doc),
+    return reports.canonical_json({
+        "config": config,
         "mu_B": reports.frac_json(rep.mu_b),
         "lhs_squared": reports.frac_json(rep.lhs_sq),
         "rhs_norm_squared": reports.frac_json(rep.rhs_norm_sq),
@@ -242,38 +202,29 @@ def cmd_inequality(args) -> int:
         "rhs_enclosure": [reports.frac_json(x) for x in rep.rhs],
         "holds": rep.holds,
         "decided_by": rep.decided_by,
-    }
-    _write(reports.canonical_json(body), args.out)
-    return EXIT_OK
+    }), False
 
 
-def cmd_spectrum(args) -> int:
-    doc, levels = _levels_for(args)
-    f = parse_cylinder(_load_json_arg(args.cylinder))
-    seq = spectral_sequence(f, args.max_m, levels, args.max_depth)
+def cmd_spectrum(args, config, levels):
+    seq = spectral_sequence(args.cylinder, args.max_m, levels, args.max_depth)
     if args.format == "csv":
-        text = reports.spectral_csv(seq, decimal=args.decimal)
-    else:
-        text = reports.canonical_json({
-            "config": _config(args, schedule=doc),
-            "values": {str(m): reports.frac_json(v) for m, v in sorted(seq.values.items())},
-        })
-    _write(text, args.out)
-    return EXIT_OK
+        return reports.spectral_csv(seq, decimal=args.decimal), False
+    return reports.canonical_json({
+        "config": config,
+        "values": {str(m): reports.frac_json(v) for m, v in sorted(seq.values.items())},
+    }), False
 
 
-def cmd_poisson_mult(args) -> int:
+def cmd_poisson_mult(args, config, levels):
     if args.kind == "symmetric-square":
         values = exp_multiplicities_symmetric_square(args.n_max)
     else:
         values = exp_multiplicities_identity_product(args.p, args.n_max)
-    body = {
-        "config": _config(args),
-        "multiplicities": [str(v) for v in values],
+    return reports.canonical_json({
+        "config": config,
+        "multiplicities": [reports.digits(v) for v in values],
         "note": "conditional on the simple-spectrum hypothesis for the exp operator",
-    }
-    _write(reports.canonical_json(body), args.out)
-    return EXIT_OK
+    }), False
 
 
 # ---------------------------------------------------------------- plumbing
@@ -293,7 +244,9 @@ def _add_common(p, max_depth=True, csv=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cfrank", description=__doc__,
+    # --help shows the module docstring up to its paragraph on the write path
+    usage = (__doc__ or "").partition("\nOne path")[0]
+    ap = argparse.ArgumentParser(prog="cfrank", description=usage,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -355,6 +308,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> bool:
+    """Load what the command reads, run it, write its report; True if unresolved."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    # the order decides which error a bad invocation reports: the threshold
+    # is parsed before the schedule is read, a cylinder after the tower is built
+    if hasattr(args, "growth_threshold"):
+        try:
+            args.growth_threshold = Fraction(args.growth_threshold)
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"bad --growth-threshold: {exc}") from exc
+    if hasattr(args, "schedule"):
+        config["schedule"] = _load_json("@" + args.schedule, f"schedule {args.schedule}")
+    levels = None
+    if hasattr(args, "depth"):
+        sched = schedule_from_json(config["schedule"])
+        depth = getattr(args, "max_depth", args.depth)
+        if depth < args.depth:
+            raise ConfigError(f"--max-depth {depth} must be >= --depth {args.depth}")
+        levels = build_levels(sched, depth)
+    if hasattr(args, "cylinder"):
+        args.cylinder = parse_cylinder(_load_json(args.cylinder))
+    text, unresolved = args.fn(args, config, levels)
+    _write(text, args.out)
+    return unresolved
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -364,7 +343,7 @@ def main(argv=None) -> int:
     if hasattr(args, "max_depth") and args.max_depth is None:
         args.max_depth = args.depth
     try:
-        return args.fn(args)
+        unresolved = _run(args)
     except (ConfigError, DepthUnavailable, InvalidP) as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -379,9 +358,14 @@ def main(argv=None) -> int:
     except CFRankError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except reports.IntegerTooLong as exc:
+        size = "--depth" if hasattr(args, "depth") else "--n-max"
+        print(f"cfrank: {exc}; try a smaller {size}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_DEPTH if unresolved and getattr(args, "strict", False) else EXIT_OK
 
 
 if __name__ == "__main__":

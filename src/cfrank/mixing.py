@@ -27,6 +27,7 @@ from .towers import TowerLevels
 Pair = tuple[CylinderSet, CylinderSet]
 
 SQRT_BITS = 64  # every square-root enclosure is at most 2**-SQRT_BITS wide
+MAX_SAMPLE_TIMES = 1 << 20  # the most times stratified_times builds for one stage
 
 
 def sqrt_enclosure(x: Fraction) -> Enclosure:
@@ -57,7 +58,8 @@ def stratified_times(levels: TowerLevels, stage: int, count: int) -> list[int]:
 
     Mirrors the k H_n + t split used to analyze these times: the interval
     endpoints and H_n are always included, and the remaining quota is an
-    even grid over the two strata [h_n, H_n) and [H_n, 2 H_n).
+    even grid over the two strata [h_n, H_n) and [H_n, 2 H_n).  A sample
+    of more than MAX_SAMPLE_TIMES times is refused before it is built.
     """
     levels.require_depth(stage)
     levels.require_depth(stage + 1)
@@ -66,6 +68,9 @@ def stratified_times(levels: TowerLevels, stage: int, count: int) -> list[int]:
     hi = 2 * H
     if count <= 0:
         return []
+    if min(count, hi - lo) > MAX_SAMPLE_TIMES:
+        raise ValueError(f"{min(count, hi - lo)} sample times at stage {stage} pass "
+                         f"the cap of {MAX_SAMPLE_TIMES}")
     if hi - lo <= count:
         return list(range(lo, hi))
     pts = {lo, H, hi - 1}

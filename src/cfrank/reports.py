@@ -9,15 +9,32 @@ at 30 significant digits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 DECIMAL_DIGITS = 30
 
 
+class IntegerTooLong(ValueError):
+    """A report integer has more digits than the interpreter converts to str."""
+
+
+def digits(n: int) -> str:
+    """n as a decimal string, or IntegerTooLong past sys.get_int_max_str_digits()."""
+    try:
+        return str(n)
+    except ValueError:  # the only ValueError int -> str raises
+        raise IntegerTooLong(
+            "the report would need an integer longer than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def frac_json(x: Fraction) -> dict:
-    return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+    return {"numerator": digits(x.numerator), "denominator": digits(x.denominator)}
 
 
 def frac_decimal(x: Fraction) -> str:
@@ -35,32 +52,17 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def csv_lines(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def report_json(report) -> dict:
+    """A report dataclass under its field names: Fractions as frac_json, tuples as lists."""
+    return {f.name: _json_value(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
-def growth_report_json(report) -> dict:
-    return {
-        "stages": list(report.stages),
-        "g": [frac_json(x) for x in report.g],
-        "ratio_h_stages": list(report.ratio_h_stages),
-        "ratio_h": [frac_json(x) for x in report.ratio_h],
-        "threshold": frac_json(report.threshold),
-        "verdict": report.verdict,
-        "note": report.note,
-    }
-
-
-def measure_report_json(report) -> dict:
-    return {
-        "mu": [frac_json(x) for x in report.mu],
-        "level_measure": [frac_json(x) for x in report.level_measure],
-        "partial_sums": [frac_json(x) for x in report.partial_sums],
-        "increments": [frac_json(x) for x in report.increments],
-        "verdict": report.verdict,
-    }
+def _json_value(v):
+    if isinstance(v, Fraction):
+        return frac_json(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
 
 
 def decay_report_json(report) -> dict:
@@ -71,9 +73,9 @@ def decay_report_json(report) -> dict:
         "stages": [
             {
                 "stage": s.stage,
-                "interval": [str(s.interval[0]), str(s.interval[1])],
+                "interval": [digits(s.interval[0]), digits(s.interval[1])],
                 "entries": [
-                    {"m": str(m), **enclosure_json(lo, hi)}
+                    {"m": digits(m), **enclosure_json(lo, hi)}
                     for m, (lo, hi) in zip(s.times, s.values)
                 ],
                 "max_lower": frac_json(s.max_lower),
@@ -84,33 +86,27 @@ def decay_report_json(report) -> dict:
     }
 
 
+def csv_text(header: list[str], rows, decimal: bool) -> str:
+    """One line per (cells, value) row; `decimal` appends frac_decimal(value)."""
+    lines = [",".join(header + ["decimal"] if decimal else header)]
+    for cells, value in rows:
+        line = ",".join(map(digits, cells))
+        lines.append(f"{line},{frac_decimal(value)}" if decimal else line)
+    return "\n".join(lines) + "\n"
+
+
 def decay_report_csv(report, decimal: bool = False) -> str:
     header = ["stage", "m", "numerator", "denominator",
               "residual_numerator", "residual_denominator"]
-    if decimal:
-        header.append("decimal")
     rows = []
     for s in report.stages:
         for m, (lo, hi) in zip(s.times, s.values):
             res = hi - lo
-            row = [str(s.stage), str(m), str(lo.numerator), str(lo.denominator),
-                   str(res.numerator), str(res.denominator)]
-            if decimal:
-                row.append(frac_decimal(lo))
-            rows.append(row)
-    return csv_lines(header, rows)
+            cells = (s.stage, m, lo.numerator, lo.denominator, res.numerator, res.denominator)
+            rows.append((cells, lo))
+    return csv_text(header, rows, decimal)
 
 
 def spectral_csv(seq, decimal: bool = False) -> str:
-    header = ["m", "numerator", "denominator"]
-    if decimal:
-        header.append("decimal")
-    ms = sorted(seq.values)
-    rows = []
-    for m in ms:
-        v = seq.values[m]
-        row = [str(m), str(v.numerator), str(v.denominator)]
-        if decimal:
-            row.append(frac_decimal(v))
-        rows.append(row)
-    return csv_lines(header, rows)
+    rows = (((m, v.numerator, v.denominator), v) for m, v in sorted(seq.values.items()))
+    return csv_text(["m", "numerator", "denominator"], rows, decimal)

@@ -332,6 +332,18 @@ def test_criterion_10_cli_reproducibility(tmp_path, _clock):
         "poisson-mult": ["poisson-mult", "--kind", "symmetric-square",
                          "--n-max", "5"],
     }
+    # sha256 of each report, frozen so that a change moving the bytes the
+    # same way on every run still fails
+    digests = {
+        "build": "5f0fdeb6670abe61c864a780bbca41a08aa8000651e8ec337a4b2bbe9709e647",
+        "concat": "9cb51a9dbc925f329c7b7eeb8f4bc92cbb90e2b9496e91cd87abd5bfc8fb39ea",
+        "scan-mixing": "6add19b2e945cf2e42af9a634c0917b8692690f440d5d054fc522540ab3a41a4",
+        "weak-limits": "8c064c1b36858387d202fc78480eab1bb5194216ffb5e72d6c8bee97dbb7fb49",
+        "cesaro": "d36a801700a35ca6b868982bb9523b58deb7be53626d6d447d556937323acd0e",
+        "inequality": "07597d79c3f0b674ae2cbff15aedae12c8496fe66f2ce1bfa08bf6516d9ca2be",
+        "spectrum": "42b23851123ae0717bbfef3d59dc3dc656033404d68c28d3ef93dd6f954d68ee",
+        "poisson-mult": "741a212218ef91a2bff71b2cbce794666b1c20b55e1b5cf32c965dcc0da4689c",
+    }
     for name, argv in commands.items():
         outputs = []
         for run in range(3):
@@ -340,4 +352,5 @@ def test_criterion_10_cli_reproducibility(tmp_path, _clock):
             assert code == 0, name
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], name
+        assert hashlib.sha256(outputs[0]).hexdigest() == digests[name], name
     _report(10, "cli reproducibility", _clock())

@@ -100,6 +100,32 @@ def test_build_past_size_cap_exit_2(sched_path, tmp_path, capsys):
     assert " bits of tower data by stage " in err
 
 
+def test_build_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    # at depth 40 a partial-sum denominator of the measure report passes
+    # 4,300 digits; the heights stay far below that until stage 718
+    sched = tmp_path / "geo.json"
+    sched.write_text(json.dumps({"name": "geo", "h0": "1",
+                                 "r": {"kind": "const", "value": "2"},
+                                 "z": {"kind": "geometric", "base": "1", "ratio": "1000000"}}))
+    out = tmp_path / "r.json"
+    code = main(["build", "--schedule", str(sched), "--depth", "40", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("cfrank: the report would need an integer longer than the interpreter's "
+                   f"limit of {sys.get_int_max_str_digits()} digits; try a smaller --depth\n")
+
+
+def test_poisson_mult_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    code, text = run_main(["poisson-mult", "--kind", "symmetric-square", "--n-max", "1500"],
+                          tmp_path / "p.json")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.endswith(" digits; try a smaller --n-max\n")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_build_parse_error_exit_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
@@ -116,6 +142,45 @@ def test_scan_csv_rows(sched_path, tmp_path):
     )
     assert code == 0
     assert text.splitlines()[1:] == ["0,1,0,1,0,1", "0,2,1,3,0,1", "0,3,1,3,0,1"]
+
+
+def test_scan_csv_decimal(sched_path, tmp_path):
+    code, text = run_main(
+        ["scan-mixing", "--schedule", sched_path, "--depth", "3", "--max-depth", "3",
+         "--stages", "0:2", "--samples", "8", "--tests", PAIR, "--format", "csv", "--decimal"],
+        tmp_path / "scan.csv",
+    )
+    assert code == 0
+    assert text.splitlines() == [
+        "stage,m,numerator,denominator,residual_numerator,residual_denominator,decimal",
+        "0,1,0,1,0,1,0",
+        "0,2,1,3,0,1,0.333333333333333333333333333333",
+        "0,3,1,3,0,1,0.333333333333333333333333333333",
+        "1,9,2,9,0,1,0.222222222222222222222222222222",
+        "1,10,1,9,0,1,0.111111111111111111111111111111",
+        "1,11,10,27,0,1,0.370370370370370370370370370370",
+        "1,13,4,27,1,27,0.148148148148148148148148148148",
+        "1,16,2,9,2,27,0.222222222222222222222222222222",
+        "1,19,2,27,1,9,0.0740740740740740740740740740741",
+        "1,21,4,27,1,9,0.148148148148148148148148148148",
+    ]
+
+
+@pytest.mark.parametrize("stages, samples", [("0:1", "1000000000"), ("12", "1048577")])
+def test_scan_sample_cap(stages, samples, sched_path, tmp_path, capsys):
+    # stage 0's interval [1, 4) holds 3 times whatever --samples asks;
+    # stage 12's holds 2,524,349, so 2**20 + 1 samples pass the cap
+    code, text = run_main(["scan-mixing", "--schedule", sched_path, "--depth", "13",
+                           "--stages", stages, "--samples", samples, "--tests", PAIR,
+                           "--format", "csv"], tmp_path / "scan.csv")
+    if stages == "0:1":
+        assert code == 0
+        assert [row.split(",")[1] for row in text.splitlines()[1:]] == ["1", "2", "3"]
+    else:
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "cfrank: 1048577 sample times at stage 12 pass the cap of 1048576\n")
 
 
 def test_scan_strict_depth_exhausted_exit_4(sched_path, tmp_path):
@@ -181,6 +246,21 @@ def test_spectrum_csv(sched_path, tmp_path):
     assert text.splitlines() == [
         "m,numerator,denominator",
         "-2,1,3", "-1,0,1", "0,1,1", "1,0,1", "2,1,3",
+    ]
+
+
+def test_spectrum_csv_decimal(sched_path, tmp_path):
+    code, text = run_main(
+        ["spectrum", "--schedule", sched_path, "--depth", "3", "--max-depth", "3",
+         "--cylinder", CYL, "--max-m", "3", "--format", "csv", "--decimal"],
+        tmp_path / "s.csv",
+    )
+    assert code == 0
+    third = "0.333333333333333333333333333333"
+    assert text.splitlines() == [
+        "m,numerator,denominator,decimal",
+        f"-3,1,3,{third}", f"-2,1,3,{third}", "-1,0,1,0", "0,1,1,1",
+        "1,0,1,0", f"2,1,3,{third}", f"3,1,3,{third}",
     ]
 
 

@@ -22,7 +22,11 @@ from cfrank import (
     stratified_times,
 )
 from cfrank.errors import DepthExhausted
-from cfrank.mixing import outside_proof_window, weak_limit_discrepancy_bounds
+from cfrank.mixing import (
+    MAX_SAMPLE_TIMES,
+    outside_proof_window,
+    weak_limit_discrepancy_bounds,
+)
 from cfrank.oracle import oracle_correlation_bounds
 from cfrank.reports import canonical_json, decay_report_json
 
@@ -61,6 +65,27 @@ def test_stratified_times_rejects_negative_stage(levels_r3_zramp):
     # h[-1] would be the deepest stage's height
     with pytest.raises(ValueError, match="negative"):
         stratified_times(levels_r3_zramp, -1, 4)
+
+
+def test_stratified_times_caps_the_sample(sched_r3_zramp, levels_r3_zramp, monkeypatch):
+    # stage 12's interval [h_12, 2 H_12) holds 2,524,349 times; the cap is
+    # checked before any time is built, so asking past it allocates nothing
+    deep = build_levels(sched_r3_zramp, 13)
+    for count, size in ((MAX_SAMPLE_TIMES + 1, MAX_SAMPLE_TIMES + 1), (10**9, 2524349)):
+        message = f"^{size} sample times at stage 12 pass the cap of {MAX_SAMPLE_TIMES}$"
+        with pytest.raises(ValueError, match=message):
+            stratified_times(deep, 12, count)
+        with pytest.raises(ValueError, match=message):
+            scan_mixing_intervals(deep, [], [0, 12], count, 1, 13)
+    # a short interval keeps working whatever the count: [1, 4) holds 3 times
+    assert stratified_times(deep, 0, 10**9) == [1, 2, 3]
+    # the bound itself, on a cap small enough to reach: stage 2's interval
+    # [36, 78) holds 42 times
+    monkeypatch.setattr("cfrank.mixing.MAX_SAMPLE_TIMES", 10)
+    assert len(stratified_times(levels_r3_zramp, 2, 10)) <= 10
+    with pytest.raises(ValueError, match="^11 sample times at stage 2 pass the cap of 10$"):
+        stratified_times(levels_r3_zramp, 2, 11)
+    assert stratified_times(levels_r3_zramp, 0, 10**9) == [1, 2, 3]
 
 
 def test_stratified_times_anchors_and_determinism(levels_r3_zramp):
