@@ -25,6 +25,7 @@ from .errors import (
     DepthUnavailable,
     EmptyFragmentList,
     Enclosure,
+    IntegerTooLong,
     InvalidP,
     InvalidSchedule,
     OffsetOverlap,
@@ -74,6 +75,7 @@ __all__ = [
     "Enclosure",
     "GrowthReport",
     "InequalityReport",
+    "IntegerTooLong",
     "IntervalSet",
     "InvalidP",
     "InvalidSchedule",

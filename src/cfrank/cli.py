@@ -16,7 +16,8 @@ loads the schedule, builds the tower, calls the command and writes the
 text it returns to --out; main then turns an unresolved report under
 --strict into exit 4.  A command only computes its report.  A report that
 would need an integer longer than the interpreter prints
-(sys.get_int_max_str_digits()) exits 2 before anything is written.
+(sys.get_int_max_str_digits()) exits 2 before anything is written, and so
+does an input integer past that limit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from fractions import Fraction
 
 from . import reports
 from .cylinders import CylinderSet
-from .errors import CFRankError, DepthExhausted, DepthUnavailable, InvalidP, InvalidSchedule
+from .errors import (CFRankError, DepthExhausted, DepthUnavailable, IntegerTooLong, InvalidP,
+                     InvalidSchedule)
 from .intervals import IntervalSet
 from .mixing import (
     WeakLimitTarget,
@@ -40,6 +42,7 @@ from .mixing import (
     weak_limit_discrepancy_bounds,
 )
 from .schedule import schedule_from_json, schedule_to_json
+from .sequences import parse_int
 from .spectral import (
     exp_multiplicities_identity_product,
     exp_multiplicities_symmetric_square,
@@ -62,9 +65,9 @@ def _load_json(raw: str, what: str = "JSON argument"):
     try:
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+                return json.load(fh, parse_int=parse_int)
+        return json.loads(raw, parse_int=parse_int)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and IntegerTooLong among them
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
@@ -142,8 +145,7 @@ def cmd_build(args, config, levels):
 
 
 def cmd_concat(args, config, levels):
-    flat = schedule_to_json(schedule_from_json(config["schedule"]))
-    return reports.canonical_json(flat), False
+    return reports.canonical_json(schedule_to_json(args.schedule)), False
 
 
 def cmd_scan_mixing(args, config, levels):
@@ -320,16 +322,20 @@ def _run(args) -> bool:
             raise ConfigError(f"bad --growth-threshold: {exc}") from exc
     if hasattr(args, "schedule"):
         config["schedule"] = _load_json("@" + args.schedule, f"schedule {args.schedule}")
+        args.schedule = schedule_from_json(config["schedule"])
     levels = None
     if hasattr(args, "depth"):
-        sched = schedule_from_json(config["schedule"])
         depth = getattr(args, "max_depth", args.depth)
         if depth < args.depth:
             raise ConfigError(f"--max-depth {depth} must be >= --depth {args.depth}")
-        levels = build_levels(sched, depth)
+        levels = build_levels(args.schedule, depth)
     if hasattr(args, "cylinder"):
         args.cylinder = parse_cylinder(_load_json(args.cylinder))
-    text, unresolved = args.fn(args, config, levels)
+    try:
+        text, unresolved = args.fn(args, config, levels)
+    except IntegerTooLong as exc:
+        size = "--depth" if hasattr(args, "depth") else "--n-max"
+        raise ConfigError(f"{exc}; try a smaller {size}") from None
     _write(text, args.out)
     return unresolved
 
@@ -358,10 +364,6 @@ def main(argv=None) -> int:
     except CFRankError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except reports.IntegerTooLong as exc:
-        size = "--depth" if hasattr(args, "depth") else "--n-max"
-        print(f"cfrank: {exc}; try a smaller {size}", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,19 +11,20 @@ apply_power is the decomposition view: the part of a shifted cylinder that
 leaves its stage window is refined one stage deeper and retried, down to a
 caller-chosen max depth.  Correlations never build those pieces: at depth
 N they count level pairs (x, y) of the stage-N refinements with y - x = m
-by a memoized recursion over the offset sets (difference counts), and the
-points of A whose image leaves [0, h_N) by a rank query.  Refinement adds
-offsets, (A + u)^N = A^N + u, so the difference counts of a pair are those
-of its translation class (both cylinders moved down to start at level 0)
-read at m minus the distance between their lowest levels, and one memo
-serves every pair of the class.  Either way what is still unresolved at
-the max depth is reported as an explicit residual measure, never silently
-dropped.
+by a memoized recursion over each stage's table of offset differences
+(difference counts), and the points of A whose image leaves [0, h_N) by a
+rank query.  Refinement adds offsets, (A + u)^N = A^N + u, so the
+difference counts of a pair are those of its translation class (both
+cylinders moved down to start at level 0) read at m minus the distance
+between their lowest levels, and one memo serves every pair of the class.
+Either way what is still unresolved at the max depth is reported as an
+explicit residual measure, never silently dropped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -202,6 +203,22 @@ def _cross_count(levels: TowerLevels, a: _Refinement, b: _Refinement, n: int,
     return b.count_in(levels, n, a.intervals, t)
 
 
+def _difference_table(levels: TowerLevels, n: int) -> tuple[list[int], list[int]]:
+    """The distinct differences c' - c of C_n, ascending, and their multiplicities.
+
+    Kept on the tower as ("deltas", n) and shared by every kernel of it;
+    delta 0 has multiplicity r_n and the multiplicities sum to r_n ** 2.
+    """
+    key = ("deltas", n)
+    table = levels._cache.get(key)
+    if table is None:
+        offsets = levels.offsets[n]
+        mult = Counter(c2 - c for c in offsets for c2 in offsets)
+        deltas = sorted(mult)
+        table = levels._cache[key] = (deltas, [mult[d] for d in deltas])
+    return table
+
+
 class _DifferenceCounts:
     """E(n, t) = #{(x, y) in A^n x B^n : y - x = t} for one translation class.
 
@@ -210,44 +227,45 @@ class _DifferenceCounts:
 
     A^{n+1} = A^n + C_n as a disjoint union, so
 
-        E(n+1, t) = sum over c, c' in C_n of E(n, t + c - c'),
+        E(n+1, t) = sum over c, c' in C_n of E(n, t + c - c')
+                  = sum over delta of mult(delta) E(n, t - delta),
 
-    and E(n, s) = 0 unless |s| < h_n, which leaves at most two c' per c
-    (consecutive offsets are at least h_n apart).  The recursion stops at
-    the deeper of the two cylinder stages with the exact cross count.
-    E does not depend on m or on the depth budget, so one memo serves every
+    with delta over the distinct differences c' - c of C_n and mult(delta)
+    the number of pairs giving it (_difference_table).  E(n, s) = 0 unless
+    |s| < h_n, so the terms that count are one slice of the sorted deltas,
+    found by two bisects.  The recursion stops at the deeper of the two
+    cylinder stages with the exact cross count.  E does not depend on m or
+    on the depth budget, so one memo per stage, keyed by t, serves every
     correlation of every pair in the class.
     """
 
     __slots__ = ("a", "b", "base", "memo")
 
-    def __init__(self, A: CylinderSet, B: CylinderSet):
+    def __init__(self, A: CylinderSet, B: CylinderSet, depth: int):
         self.a = _Refinement(A)
         self.b = _Refinement(B)
         self.base = max(A.level, B.level)
-        self.memo: dict[tuple[int, int], int] = {}
+        self.memo: list[dict[int, int]] = [{} for _ in range(depth + 1)]
 
     def count(self, levels: TowerLevels, n: int, t: int) -> int:
         if not -levels.h[n] < t < levels.h[n]:
             return 0
-        key = (n, t)
-        hit = self.memo.get(key)
+        hit = self.memo[n].get(t)
         if hit is not None:
             return hit
         if n == self.base:
             total = _cross_count(levels, self.a, self.b, n, t)
         else:
-            # every child s - c2 has |s - c2| < h: read memo hits inline
-            memo, child = self.memo, n - 1
-            offsets, h = levels.offsets[child], levels.h[child]
+            # every child t - delta has |t - delta| < h: read memo hits inline
+            child = n - 1
+            deltas, mults = _difference_table(levels, child)
+            memo, h = self.memo[child], levels.h[child]
             total = 0
-            for c in offsets:
-                s = t + c
-                for c2 in offsets[bisect_right(offsets, s - h):bisect_left(offsets, s + h)]:
-                    u = s - c2
-                    e = memo.get((child, u))
-                    total += self.count(levels, child, u) if e is None else e
-        self.memo[key] = total
+            for i in range(bisect_right(deltas, t - h), bisect_left(deltas, t + h)):
+                u = t - deltas[i]
+                e = memo.get(u)
+                total += mults[i] * (self.count(levels, child, u) if e is None else e)
+        self.memo[n][t] = total
         return total
 
 
@@ -278,7 +296,7 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
         class_key = ("diff", A0, B0)
         kernel = levels._cache.get(class_key)
         if kernel is None:
-            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0)
+            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels.depth)
         hit = levels._cache[pair_key] = (kernel, ua, ub)
     return hit
 

@@ -30,6 +30,14 @@ class InvalidP(CFRankError):
     """Identity-product multiplicities need p > 1."""
 
 
+class IntegerTooLong(ValueError):
+    """An integer has more digits than the interpreter converts to or from str.
+
+    The limit is sys.get_int_max_str_digits(); cfrank reports it and never
+    lifts it.
+    """
+
+
 class DepthExhausted(CFRankError):
     """Spillover could not be fully resolved within the allowed depth.
 

@@ -15,11 +15,9 @@ import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+from .errors import IntegerTooLong
+
 DECIMAL_DIGITS = 30
-
-
-class IntegerTooLong(ValueError):
-    """A report integer has more digits than the interpreter converts to str."""
 
 
 def digits(n: int) -> str:

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import EmptyFragmentList, InvalidSchedule
-from .sequences import SequenceSpec, const, explicit, spec_from_json, spec_to_json
+from .errors import EmptyFragmentList, IntegerTooLong, InvalidSchedule
+from .sequences import SequenceSpec, const, explicit, parse_int, spec_from_json, spec_to_json
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,27 @@ def schedule_to_json(sched: Schedule) -> dict:
 
 
 def schedule_from_json(doc: dict) -> Schedule:
-    """Parse a schedule document; a 'fragments' list concatenates in place."""
+    """Parse a schedule document; a 'fragments' list concatenates in place.
+
+    A document of the wrong shape raises InvalidSchedule; an integer field
+    longer than the interpreter converts raises IntegerTooLong.
+    """
     if not isinstance(doc, dict):
         raise InvalidSchedule("schedule document must be a JSON object")
+    try:
+        return _schedule_from_dict(doc)
+    except IntegerTooLong:
+        raise
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidSchedule(f"malformed schedule document: {exc}") from exc
+
+
+def _schedule_from_dict(doc: dict) -> Schedule:
     if "fragments" in doc:
         frags = []
         for entry in doc["fragments"]:
             entry = dict(entry)
-            stop = int(entry.pop("stopping_time"))
+            stop = parse_int(entry.pop("stopping_time"))
             frags.append((schedule_from_json(entry), stop))
         out = concatenate(frags)
         if "name" in doc:
@@ -106,17 +119,14 @@ def schedule_from_json(doc: dict) -> Schedule:
                 prefix_offsets=out.prefix_offsets,
             )
         return out
-    try:
-        name = str(doc.get("name", "schedule"))
-        h0 = int(doc["h0"])
-        r = spec_from_json(doc["r"])
-        z = spec_from_json(doc["z"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidSchedule(f"malformed schedule document: {exc}") from exc
-    d = spec_from_json(doc["d"]) if "d" in doc and doc["d"] is not None else None
+    name = str(doc.get("name", "schedule"))
+    h0 = parse_int(doc["h0"])
+    r = spec_from_json(doc["r"])
+    z = spec_from_json(doc["z"])
+    d = spec_from_json(doc["d"]) if doc.get("d") is not None else None
     prefix = {}
     for stage, offs in (doc.get("prefix_offsets") or {}).items():
-        prefix[int(stage)] = tuple(int(c) for c in offs)
+        prefix[parse_int(stage)] = tuple(parse_int(c) for c in offs)
     return Schedule(name=name, h0=h0, r=r, z=z, d=d, prefix_offsets=prefix)
 
 

@@ -9,9 +9,10 @@ schedules expressible in the same vocabulary.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
-from .errors import InvalidSchedule
+from .errors import IntegerTooLong, InvalidSchedule
 
 _KINDS = ("const", "affine", "geometric", "list")
 
@@ -108,20 +109,32 @@ def spec_to_json(spec: SequenceSpec) -> dict:
     }
 
 
+def parse_int(x) -> int:
+    """int(x), or IntegerTooLong for a string past sys.get_int_max_str_digits()."""
+    try:
+        return int(x)
+    except ValueError:
+        limit, size = sys.get_int_max_str_digits(), sum(ch.isdecimal() for ch in str(x))
+        if 0 < limit < size:
+            raise IntegerTooLong(f"an input integer has {size} digits, more than the "
+                                 f"interpreter's limit of {limit} digits") from None
+        raise
+
+
 def spec_from_json(doc) -> SequenceSpec:
     if isinstance(doc, (int, str)):
         # shorthand: a bare number means a constant sequence
-        return const(int(doc))
+        return const(parse_int(doc))
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidSchedule(f"bad sequence spec: {doc!r}")
     kind = doc["kind"]
     if kind == "const":
-        return const(int(doc["value"]))
+        return const(parse_int(doc["value"]))
     if kind == "affine":
-        return affine(int(doc["base"]), int(doc.get("step", 0)))
+        return affine(parse_int(doc["base"]), parse_int(doc.get("step", 0)))
     if kind == "geometric":
-        return geometric(int(doc["base"]), int(doc["ratio"]))
+        return geometric(parse_int(doc["base"]), parse_int(doc["ratio"]))
     if kind == "list":
         tail = spec_from_json(doc["tail"]) if doc.get("tail") is not None else None
-        return explicit([int(v) for v in doc["values"]], tail=tail)
+        return explicit([parse_int(v) for v in doc["values"]], tail=tail)
     raise InvalidSchedule(f"unknown sequence kind {kind!r}")

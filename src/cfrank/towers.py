@@ -37,9 +37,10 @@ class TowerLevels:
 
     Construction data never changes after build.  The private _cache only
     memoizes pure results, keyed by tuples whose layout the function that
-    builds each entry documents (_pair_kernel, _cesaro_series, _base,
-    oracle_correlation_bounds).  Finished correlations are not memoized.
-    No entry is bounded; all live as long as the TowerLevels.
+    builds each entry documents (_difference_table, _pair_kernel,
+    _cesaro_series, _base, oracle_correlation_bounds).  Finished
+    correlations are not memoized.  No entry is bounded; all live as long
+    as the TowerLevels.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

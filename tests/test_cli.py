@@ -58,6 +58,63 @@ def test_build_invalid_schedule_exit_3(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"fragments": 5},
+    {"fragments": [5]},
+    dict(SCHED, d="1", prefix_offsets=[1]),
+    dict(SCHED, d="1", prefix_offsets={"0": 5}),
+    dict(SCHED, h0=float("inf")),
+])
+def test_malformed_schedule_exit_3(doc, tmp_path, capsys):
+    # each used to escape as a TypeError, AttributeError or OverflowError
+    # traceback (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, text = run_main(["build", "--schedule", str(bad), "--depth", "1"],
+                          tmp_path / "x.json")
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cfrank: invalid schedule: malformed schedule document: ")
+    assert len(err.splitlines()) == 1
+
+
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(SCHED, h0=LONG),
+    dict(SCHED, r={"kind": "list", "values": ["3", LONG]}),
+    dict(SCHED, d="1", prefix_offsets={"0": [LONG]}),
+    {"fragments": [dict(SCHED, stopping_time=LONG)]},
+])
+@pytest.mark.parametrize("command", [["build", "--depth", "1"], ["concat"]])
+def test_schedule_integer_past_digit_limit_exit_2(command, doc, tmp_path, capsys):
+    # h0 used to exit 3 and a prefix offset 2, both with the interpreter's
+    # advice to lift the limit
+    sched = tmp_path / "long.json"
+    sched.write_text(json.dumps(doc))
+    code, text = run_main(command + ["--schedule", str(sched)], tmp_path / "x.json")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == (f"cfrank: an input integer has {len(LONG)} digits, more than the "
+                   f"interpreter's limit of {sys.get_int_max_str_digits()} digits\n")
+
+
+def test_schedule_number_past_digit_limit_exit_2(tmp_path, capsys):
+    # a bare JSON number fails while the file is read, not while it is parsed
+    sched = tmp_path / "long.json"
+    sched.write_text(json.dumps(SCHED).replace('"h0": "1"', f'"h0": {LONG}'))
+    code, text = run_main(["build", "--schedule", str(sched), "--depth", "1"],
+                          tmp_path / "x.json")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfrank: cannot read schedule {sched}: an input integer has ")
+    assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("threshold", ["1/0", "x"])
 def test_build_bad_growth_threshold_exit_2(threshold, sched_path, tmp_path, capsys):
     # "1/0" used to escape as a ZeroDivisionError traceback (exit 1)

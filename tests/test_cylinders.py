@@ -18,6 +18,7 @@ from cfrank import (
     product_correlation,
     refine,
 )
+from cfrank.cylinders import _difference_table, _pair_kernel
 from cfrank.errors import DepthExhausted, DepthUnavailable
 from cfrank.intervals import IntervalSet
 from cfrank.oracle import oracle_correlation_bounds
@@ -363,6 +364,28 @@ def test_translated_pairs_share_one_kernel(data):
             assert got == (lo, hi)
         else:  # B deeper than the budget: the oracle counts at B's stage
             assert got[0] <= lo <= hi <= got[1]
+
+
+def test_kernel_with_repeated_differences():
+    # C_0 = (0, 1, 3, 6) gives delta = 3 twice off the diagonal (3 - 0 and
+    # 6 - 3) on a plain high staircase; the counts to match are Python-set
+    # counts over the refined level sets, which use no difference table
+    lv = build_levels(Schedule("rep", 1, const(4), const(0)), 3)
+    assert lv.offsets[0] == (0, 1, 3, 6)
+    deltas, mults = _difference_table(lv, 0)
+    assert sum(mults) == lv.r[0] ** 2 == 16
+    assert dict(zip(deltas, mults))[3] == 2
+    # the kernel counts the class representatives, which start at level 0
+    singletons = [pts(0, 0), pts(1, 0), pts(2, 0)]
+    two_points = [pts(1, 0, 3), pts(1, 0, 7), pts(2, 0, 25)]
+    for A in singletons + two_points:
+        for B in singletons + two_points:
+            kernel, _, _ = _pair_kernel(A, B, lv)
+            for n in range(max(A.level, B.level, 1), lv.depth + 1):
+                xs = set(refine(A, n, lv).levels_set.points())
+                ys = set(refine(B, n, lv).levels_set.points())
+                for t in range(-lv.h[n] + 1, lv.h[n]):
+                    assert kernel.count(lv, n, t) == sum(x + t in ys for x in xs), (A, B, n, t)
 
 
 def test_kernel_cylinder_deeper_than_max_depth():
