@@ -23,10 +23,8 @@ from .errors import (
     CFRankError,
     DepthExhausted,
     DepthUnavailable,
-    EmptyFragmentList,
     Enclosure,
     IntegerTooLong,
-    InvalidP,
     InvalidSchedule,
     OffsetOverlap,
 )
@@ -71,13 +69,11 @@ __all__ = [
     "DecayReport",
     "DepthExhausted",
     "DepthUnavailable",
-    "EmptyFragmentList",
     "Enclosure",
     "GrowthReport",
     "InequalityReport",
     "IntegerTooLong",
     "IntervalSet",
-    "InvalidP",
     "InvalidSchedule",
     "MeasureReport",
     "OffsetOverlap",

@@ -14,8 +14,10 @@ exact values only (cesaro, inequality, spectrum).
 One path runs every command: main parses the options, and its helper _run
 loads the schedule, builds the tower, calls the command and writes the
 text it returns to --out; main then turns an unresolved report under
---strict into exit 4.  A command only computes its report.  A report that
-would need an integer longer than the interpreter prints
+--strict into exit 4.  A command only computes its report.  The type of
+an error alone decides its exit code, with one except arm per family: a
+ValueError exits 2, an InvalidSchedule 3, a DepthExhausted 4.  So a
+report that would need an integer longer than the interpreter prints
 (sys.get_int_max_str_digits()) exits 2 before anything is written, and so
 does an input integer past that limit.
 """
@@ -29,8 +31,7 @@ from fractions import Fraction
 
 from . import reports
 from .cylinders import CylinderSet
-from .errors import (CFRankError, DepthExhausted, DepthUnavailable, IntegerTooLong, InvalidP,
-                     InvalidSchedule)
+from .errors import DepthExhausted, IntegerTooLong, InvalidSchedule
 from .intervals import IntervalSet
 from .mixing import (
     WeakLimitTarget,
@@ -56,10 +57,6 @@ EXIT_INVARIANT = 3
 EXIT_DEPTH = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_json(raw: str, what: str = "JSON argument"):
     """Inline JSON, or @path to read from a file."""
     try:
@@ -68,7 +65,7 @@ def _load_json(raw: str, what: str = "JSON argument"):
                 return json.load(fh, parse_int=parse_int)
         return json.loads(raw, parse_int=parse_int)
     except (OSError, ValueError) as exc:  # JSONDecodeError and IntegerTooLong among them
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
+        raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
 def parse_cylinder(doc) -> CylinderSet:
@@ -76,7 +73,7 @@ def parse_cylinder(doc) -> CylinderSet:
         level = int(doc["level"])
         pairs = [(int(a), int(b)) for a, b in doc["intervals"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cylinder literal {doc!r}: {exc}") from exc
+        raise ValueError(f"bad cylinder literal {doc!r}: {exc}") from exc
     return CylinderSet(level, IntervalSet.from_pairs(pairs))
 
 
@@ -85,10 +82,10 @@ def _parse_tests(raw: str, levels) -> tuple[list, str]:
         return canonical_test_set(levels), "canonical"
     doc = _load_json(raw)
     try:
-        pairs = [(parse_cylinder(a), parse_cylinder(b)) for a, b in doc]
+        pairs = [(a, b) for a, b in doc]  # before parsing, so a bad cylinder keeps its message
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--tests must be a list of cylinder pairs: {exc}") from exc
-    return pairs, "custom"
+        raise ValueError(f"--tests must be a list of cylinder pairs: {exc}") from exc
+    return [(parse_cylinder(a), parse_cylinder(b)) for a, b in pairs], "custom"
 
 
 def _parse_stages(raw: str) -> list[int]:
@@ -98,7 +95,7 @@ def _parse_stages(raw: str) -> list[int]:
             return list(range(int(a), int(b)))
         return [int(s) for s in raw.split(",") if s]
     except ValueError as exc:
-        raise ConfigError(f"bad --stages {raw!r}") from exc
+        raise ValueError(f"bad --stages {raw!r}") from exc
 
 
 def _write(text: str, out: str):
@@ -109,7 +106,7 @@ def _write(text: str, out: str):
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # the command's handler and the options that only shape the output
@@ -167,8 +164,11 @@ def cmd_weak_limits(args, config, levels):
     try:
         target = WeakLimitTarget({int(j): Fraction(a) for j, a in target_doc.items()})
     except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad --target: {exc}") from exc
-    times = [int(t) for t in args.times.split(",") if t]
+        raise ValueError(f"bad --target: {exc}") from exc
+    try:
+        times = [int(t) for t in args.times.split(",") if t]
+    except ValueError as exc:
+        raise ValueError(f"bad --times {args.times!r}") from exc
     bounds = weak_limit_discrepancy_bounds(times, target, tests, levels, args.max_depth)
     config["target"] = {str(j): str(a) for j, a in target.items()}
     body = {
@@ -319,7 +319,7 @@ def _run(args) -> bool:
         try:
             args.growth_threshold = Fraction(args.growth_threshold)
         except (ArithmeticError, ValueError) as exc:
-            raise ConfigError(f"bad --growth-threshold: {exc}") from exc
+            raise ValueError(f"bad --growth-threshold: {exc}") from exc
     if hasattr(args, "schedule"):
         config["schedule"] = _load_json("@" + args.schedule, f"schedule {args.schedule}")
         args.schedule = schedule_from_json(config["schedule"])
@@ -327,15 +327,18 @@ def _run(args) -> bool:
     if hasattr(args, "depth"):
         depth = getattr(args, "max_depth", args.depth)
         if depth < args.depth:
-            raise ConfigError(f"--max-depth {depth} must be >= --depth {args.depth}")
+            raise ValueError(f"--max-depth {depth} must be >= --depth {args.depth}")
         levels = build_levels(args.schedule, depth)
     if hasattr(args, "cylinder"):
         args.cylinder = parse_cylinder(_load_json(args.cylinder))
     try:
         text, unresolved = args.fn(args, config, levels)
     except IntegerTooLong as exc:
-        size = "--depth" if hasattr(args, "depth") else "--n-max"
-        raise ConfigError(f"{exc}; try a smaller {size}") from None
+        if hasattr(args, "depth"):
+            raise ValueError(f"{exc}; try a smaller --depth") from None
+        if hasattr(args, "n_max"):
+            raise ValueError(f"{exc}; try a smaller --n-max") from None
+        raise  # concat has no size option to suggest
     _write(text, args.out)
     return unresolved
 
@@ -350,9 +353,6 @@ def main(argv=None) -> int:
         args.max_depth = args.depth
     try:
         unresolved = _run(args)
-    except (ConfigError, DepthUnavailable, InvalidP) as exc:
-        print(f"cfrank: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DepthExhausted as exc:
         lo, hi = exc.interval
         print(f"cfrank: a correlation in [{lo}, {hi}] is unresolved at max depth "
@@ -360,9 +360,6 @@ def main(argv=None) -> int:
         return EXIT_DEPTH
     except InvalidSchedule as exc:
         print(f"cfrank: invalid schedule: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except CFRankError as exc:
-        print(f"cfrank: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:
         print(f"cfrank: {exc}", file=sys.stderr)

@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each type falls in exactly one family, and the family alone decides the CLI
+exit code: ValueError 2, InvalidSchedule 3, DepthExhausted 4.  CFRankError
+is a base class only; nothing raises it bare.
+"""
 
 from __future__ import annotations
 
@@ -18,16 +23,8 @@ class OffsetOverlap(InvalidSchedule):
     """Explicit prefix offsets would make translated tower copies overlap."""
 
 
-class EmptyFragmentList(CFRankError):
-    """concatenate() was called with no fragments."""
-
-
-class DepthUnavailable(CFRankError):
+class DepthUnavailable(CFRankError, ValueError):
     """An operation needs tower levels deeper than what was materialized."""
-
-
-class InvalidP(CFRankError):
-    """Identity-product multiplicities need p > 1."""
 
 
 class IntegerTooLong(ValueError):

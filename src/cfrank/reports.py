@@ -11,24 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from .errors import IntegerTooLong
+from .sequences import digits
 
 DECIMAL_DIGITS = 30
-
-
-def digits(n: int) -> str:
-    """n as a decimal string, or IntegerTooLong past sys.get_int_max_str_digits()."""
-    try:
-        return str(n)
-    except ValueError:  # the only ValueError int -> str raises
-        raise IntegerTooLong(
-            "the report would need an integer longer than the interpreter's limit of "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
 
 
 def frac_json(x: Fraction) -> dict:

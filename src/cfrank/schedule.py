@@ -13,8 +13,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import EmptyFragmentList, IntegerTooLong, InvalidSchedule
-from .sequences import SequenceSpec, const, explicit, parse_int, spec_from_json, spec_to_json
+from .errors import IntegerTooLong, InvalidSchedule
+from .sequences import (SequenceSpec, const, digits, explicit, parse_int, spec_from_json,
+                        spec_to_json)
+
+# Cap on the sum of a fragments list's stopping times, checked before any
+# fragment is laid out.  Schedule("min", 1, const(2), const(0)) grows the
+# slowest of all schedules, and towers.MAX_TOWER_BITS lets it build to depth
+# 5,792 and refuses 5,793, so a fragment starting past the cap is never built.
+MAX_STOPPING_TIME = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ def concatenate(fragments: Sequence[tuple[Schedule, int]]) -> Schedule:
     """
     fragments = list(fragments)
     if not fragments:
-        raise EmptyFragmentList("need at least one (schedule, stopping_time) fragment")
+        raise InvalidSchedule("need at least one (schedule, stopping_time) fragment")
     r_vals: list[int] = []
     z_vals: list[int] = []
     d_vals: list[int] = []
@@ -57,6 +64,9 @@ def concatenate(fragments: Sequence[tuple[Schedule, int]]) -> Schedule:
     for sched, k in fragments:
         if k < 1:
             raise InvalidSchedule(f"stopping time must be >= 1, got {k}")
+        if offset + k > MAX_STOPPING_TIME:
+            raise InvalidSchedule(f"stopping times add up to {offset + k}, past the cap "
+                                  f"of {MAX_STOPPING_TIME}")
         r_vals.extend(sched.r.prefix(k))
         z_vals.extend(sched.z.prefix(k))
         d_vals.extend(sched.d.prefix(k) if sched.d is not None else [0] * k)
@@ -76,7 +86,7 @@ def concatenate(fragments: Sequence[tuple[Schedule, int]]) -> Schedule:
 def schedule_to_json(sched: Schedule) -> dict:
     doc = {
         "name": sched.name,
-        "h0": str(sched.h0),
+        "h0": digits(sched.h0),
         "r": spec_to_json(sched.r),
         "z": spec_to_json(sched.z),
     }
@@ -84,7 +94,8 @@ def schedule_to_json(sched: Schedule) -> dict:
         doc["d"] = spec_to_json(sched.d)
     if sched.prefix_offsets:
         doc["prefix_offsets"] = {
-            str(stage): [str(c) for c in offs] for stage, offs in sorted(sched.prefix_offsets.items())
+            digits(stage): [digits(c) for c in offs]
+            for stage, offs in sorted(sched.prefix_offsets.items())
         }
     return doc
 

@@ -97,14 +97,14 @@ def explicit(values, tail: SequenceSpec | None = None) -> SequenceSpec:
 def spec_to_json(spec: SequenceSpec) -> dict:
     """JSON form; exact integers go out as decimal strings."""
     if spec.kind == "const":
-        return {"kind": "const", "value": str(spec.a)}
+        return {"kind": "const", "value": digits(spec.a)}
     if spec.kind == "affine":
-        return {"kind": "affine", "base": str(spec.a), "step": str(spec.b)}
+        return {"kind": "affine", "base": digits(spec.a), "step": digits(spec.b)}
     if spec.kind == "geometric":
-        return {"kind": "geometric", "base": str(spec.a), "ratio": str(spec.b)}
+        return {"kind": "geometric", "base": digits(spec.a), "ratio": digits(spec.b)}
     return {
         "kind": "list",
-        "values": [str(v) for v in spec.values],
+        "values": [digits(v) for v in spec.values],
         "tail": spec_to_json(spec.tail),
     }
 
@@ -119,6 +119,17 @@ def parse_int(x) -> int:
             raise IntegerTooLong(f"an input integer has {size} digits, more than the "
                                  f"interpreter's limit of {limit} digits") from None
         raise
+
+
+def digits(n: int) -> str:
+    """n as a decimal string, or IntegerTooLong past sys.get_int_max_str_digits()."""
+    try:
+        return str(n)
+    except ValueError:  # the only ValueError int -> str raises
+        raise IntegerTooLong(
+            "the report would need an integer longer than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def spec_from_json(doc) -> SequenceSpec:

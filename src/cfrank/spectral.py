@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .cylinders import CylinderSet, correlation
-from .errors import InvalidP
 from .towers import TowerLevels
 
 
@@ -68,7 +67,7 @@ def exp_multiplicities_identity_product(p: int, n_max: int) -> tuple[int, ...]:
     """{p^k : 1 <= k <= n_max}, the semigroup realized by crossing with a
     p-point identity; conditional on the same simple-spectrum hypothesis."""
     if p <= 1:
-        raise InvalidP(f"need p > 1, got {p}")
+        raise ValueError(f"need p > 1, got {p}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return tuple(p ** k for k in range(1, n_max + 1))

@@ -1,12 +1,16 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import cfrank.errors
 from cfrank.cli import main
+from cfrank.errors import DepthExhausted, InvalidSchedule
 
 SCHED = {
     "name": "demo",
@@ -181,6 +185,37 @@ def test_poisson_mult_integer_past_digit_limit_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.endswith(" digits; try a smaller --n-max\n")
     assert "set_int_max_str_digits" not in err
+
+
+def test_concat_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    # r_4999 = 2 * 10**4999 is laid out as a list value of 5,000 digits; it
+    # used to exit 2 with the interpreter's advice to lift the limit
+    sched = tmp_path / "geo.json"
+    sched.write_text(json.dumps({"fragments": [
+        {"name": "g", "h0": "1", "r": {"kind": "geometric", "base": "2", "ratio": "10"},
+         "z": "0", "stopping_time": "5000"}]}))
+    out = tmp_path / "flat.json"
+    code = main(["concat", "--schedule", str(sched), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "cfrank: the report would need an integer longer than the interpreter's "
+        f"limit of {sys.get_int_max_str_digits()} digits\n")
+
+
+def test_stopping_time_past_cap_exit_3_fast(tmp_path, capsys):
+    # the stopping time used to be laid out as r, z and d lists before any
+    # size check: about 60 MiB per million stages
+    sched = tmp_path / "long.json"
+    sched.write_text(json.dumps({"fragments": [dict(SCHED, stopping_time="1000000000")]}))
+    start = time.perf_counter()
+    code, text = run_main(["build", "--schedule", str(sched), "--depth", "1"],
+                          tmp_path / "x.json")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "cfrank: invalid schedule: stopping times add up to 1000000000, past the cap of 8192\n")
 
 
 def test_build_parse_error_exit_2(tmp_path):
@@ -398,6 +433,19 @@ def test_tests_not_a_list_of_pairs_exit_2(command, tests, sched_path, tmp_path, 
     assert err.startswith("cfrank: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    (["scan-mixing"], "--stages", "0:x"),
+    (["weak-limits", "--target", '{"0": "1/3"}'], "--times", "4,x"),
+])
+def test_bad_integer_list_exit_2(command, option, value, sched_path, tmp_path, capsys):
+    # --times used to print the bare int() message
+    code, text = run_main(command + ["--schedule", sched_path, "--depth", "2", "--tests", PAIR,
+                                     option, value], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"cfrank: bad {option} {value!r}\n"
+
+
 @pytest.mark.parametrize("target", ['{"0": null}', '{"0": [1]}', '{"0": "1/0"}',
                                     '{"0": 1e400}', '{"x": "1"}', "5"])
 def test_weak_limits_bad_target_exit_2(target, sched_path, tmp_path, capsys):
@@ -442,6 +490,35 @@ def test_options_a_command_does_not_read_exit_2(command, option, sched_path, tmp
     out.unlink()
     assert main(argv + option + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_every_error_type_falls_in_one_exit_code_family():
+    families = (ValueError, InvalidSchedule, DepthExhausted)
+    types = [cls for _, cls in inspect.getmembers(cfrank.errors, inspect.isclass)
+             if issubclass(cls, Exception) and cls is not cfrank.errors.CFRankError]
+    assert types
+    for cls in types:
+        assert sum(issubclass(cls, f) for f in families) == 1, cls
+
+
+@pytest.mark.parametrize("command, doc, code, err", [
+    (["build", "--depth", "1"], {"fragments": []}, 3,
+     "cfrank: invalid schedule: need at least one "),
+    (["poisson-mult", "--kind", "identity-product", "--p", "1", "--n-max", "3"], None, 2,
+     "cfrank: need p > 1, got 1"),
+    (["cesaro", "--depth", "2", "--k", "5", "--l", "6",
+      "--cylinder", '{"level": 1, "intervals": [["0", "1"]]}'],
+     {**SCHED, "z": {"kind": "const", "value": "1"}}, 4,
+     "cfrank: a correlation in [0, 1/9] is unresolved at max depth 2"),
+])
+def test_exit_code_families(command, doc, code, err, tmp_path, capsys):
+    # one input per family: InvalidSchedule, ValueError, DepthExhausted
+    if doc is not None:
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(doc))
+        command = command + ["--schedule", str(sched)]
+    assert run_main(command, tmp_path / "x.out") == (code, "")
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_poisson_mult_commands(tmp_path):

@@ -8,7 +8,6 @@ from cfrank import (
     exp_multiplicities_symmetric_square,
     spectral_sequence,
 )
-from cfrank.errors import InvalidP
 
 
 def test_spectral_sequence_values(levels_r3_zramp):
@@ -58,7 +57,7 @@ def test_identity_product_multiplicities():
 
 
 def test_identity_product_rejects_small_p():
-    with pytest.raises(InvalidP):
+    with pytest.raises(ValueError, match="need p > 1, got 1"):
         exp_multiplicities_identity_product(1, 3)
     with pytest.raises(ValueError):
         exp_multiplicities_identity_product(2, 0)

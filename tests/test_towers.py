@@ -16,10 +16,10 @@ from cfrank import (
 )
 from cfrank.errors import (
     DepthUnavailable,
-    EmptyFragmentList,
     InvalidSchedule,
     OffsetOverlap,
 )
+from cfrank.schedule import MAX_STOPPING_TIME
 from cfrank.towers import MAX_TOWER_BITS
 
 
@@ -216,7 +216,21 @@ def test_concatenate_shifts_varying_tail():
 
 
 def test_concatenate_empty_rejected():
-    with pytest.raises(EmptyFragmentList):
+    with pytest.raises(InvalidSchedule, match="need at least one"):
         concatenate([])
     with pytest.raises(InvalidSchedule):
         concatenate([(Schedule("f", 1, const(2), const(0)), 0)])
+
+
+def test_stopping_time_cap_refuses_no_buildable_depth():
+    # h_n >= 2**n and r_n >= 2 on every schedule, so this one passes
+    # MAX_TOWER_BITS last: no schedule builds deeper than 5,792 stages
+    slowest = Schedule("min", 1, const(2), const(0))
+    assert build_levels(slowest, 5792).depth == 5792
+    with pytest.raises(ValueError, match="past the cap"):
+        build_levels(slowest, 5793)
+    assert MAX_STOPPING_TIME >= 5792
+    out = concatenate([(slowest, MAX_STOPPING_TIME - 1), (slowest, 1)])
+    assert out.r.values == (2,) * MAX_STOPPING_TIME
+    with pytest.raises(InvalidSchedule, match=f"add up to {MAX_STOPPING_TIME + 1}, past"):
+        concatenate([(slowest, MAX_STOPPING_TIME), (slowest, 1)])
