@@ -4,7 +4,8 @@ Subcommands: build, scan-mixing, weak-limits, cesaro, inequality,
 spectrum, poisson-mult, concat.  Every command is a deterministic function
 of its config: identical invocations produce byte-identical reports, and
 each JSON report embeds its config, the parsed options minus the ones that
-only shape the output (--out, --format, --decimal, --strict).
+only shape the output (--out, --format, --decimal, --strict), with the
+text of the file for a --cylinder or --tests given as @path.
 
 Exit codes: 0 success, 2 config/parse error, 3 schedule invariant
 violation, 4 unresolved depth: with --strict for the commands that report
@@ -57,14 +58,23 @@ EXIT_INVARIANT = 3
 EXIT_DEPTH = 4
 
 
+def _text(raw: str, what: str = "JSON argument") -> str:
+    """The argument as given, or the text of the file an @path names."""
+    if not raw.startswith("@"):
+        return raw
+    try:
+        with open(raw[1:], "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_json(raw: str, what: str = "JSON argument"):
     """Inline JSON, or @path to read from a file."""
+    text = _text(raw, what)
     try:
-        if raw.startswith("@"):
-            with open(raw[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh, parse_int=parse_int)
-        return json.loads(raw, parse_int=parse_int)
-    except (OSError, ValueError) as exc:  # JSONDecodeError and IntegerTooLong among them
+        return json.loads(text, parse_int=parse_int)
+    except ValueError as exc:  # JSONDecodeError and IntegerTooLong among them
         raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
@@ -329,6 +339,9 @@ def _run(args) -> bool:
         if depth < args.depth:
             raise ValueError(f"--max-depth {depth} must be >= --depth {args.depth}")
         levels = build_levels(args.schedule, depth)
+    for name in ("cylinder", "tests"):  # the report embeds a file's text, not its path
+        if name in config:
+            vars(args)[name] = config[name] = _text(config[name])
     if hasattr(args, "cylinder"):
         args.cylinder = parse_cylinder(_load_json(args.cylinder))
     try:

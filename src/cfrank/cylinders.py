@@ -9,14 +9,14 @@ stored as disjoint intervals.  The three working identities are
 
 apply_power is the decomposition view: the part of a shifted cylinder that
 leaves its stage window is refined one stage deeper and retried, down to a
-caller-chosen max depth.  Correlations never build those pieces: at depth
-N they count level pairs (x, y) of the stage-N refinements with y - x = m
-by a memoized recursion over each stage's table of offset differences
-(difference counts), and the points of A whose image leaves [0, h_N) by a
-rank query.  Refinement adds offsets, (A + u)^N = A^N + u, so the
-difference counts of a pair are those of its translation class (both
-cylinders moved down to start at level 0) read at m minus the distance
-between their lowest levels, and one memo serves every pair of the class.
+caller-chosen max depth.  Correlations never build those pieces: at stage
+N = max(max_depth, B's stage) they count level pairs (x, y) of the stage-N
+refinements with y - x = m by a memoized recursion over each stage's table
+of offset differences (difference counts), and the points of A whose image
+leaves [0, h_N) by a rank query.  Refinement adds offsets, so
+(A + u)^N = A^N + u and the difference counts of a pair are those of its
+translation class (both cylinders moved down to start at level 0) read at
+m minus the distance between their lowest levels: one memo per class.
 Either way what is still unresolved at the max depth is reported as an
 explicit residual measure, never silently dropped.
 """
@@ -279,9 +279,9 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
 
     so every pair with the same stages and interval shapes shares one
     kernel, kept on the tower as ("diff", A0, B0); it depends on neither m
-    nor the depth budget.  The residual and a B deeper than the budget
-    need A's ranks, which are the kernel's A0 ranks read at x - ua, since
-    A^N = A0^N + ua.  ("pair", A, B) maps the pair to (kernel, ua, ub).
+    nor the depth budget.  The residual needs A's ranks, which are the
+    kernel's A0 ranks read at x - ua, since A^N = A0^N + ua.
+    ("pair", A, B) maps the pair to (kernel, ua, ub).
     Both cylinders are validated here, once per pair entry: the tower is
     immutable and nothing is cached for a pair that fails.
     """
@@ -299,22 +299,6 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
             kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels.depth)
         hit = levels._cache[pair_key] = (kernel, ua, ub)
     return hit
-
-
-def _shadows(levels: TowerLevels, cyl: CylinderSet, n: int) -> list[tuple[int, int]]:
-    """The cylinder clipped to each stage-n copy it meets, in stage-n coordinates."""
-    pieces = list(cyl.levels_set.intervals)
-    for j in range(cyl.level - 1, n - 1, -1):
-        offsets, h = levels.offsets[j], levels.h[j]
-        out = []
-        for lo, hi in pieces:
-            first = max(bisect_right(offsets, lo) - 1, 0)
-            for c in offsets[first:bisect_left(offsets, hi)]:
-                a, b = max(lo, c), min(hi, c + h)
-                if a < b:
-                    out.append((a - c, b - c))
-        pieces = out
-    return pieces
 
 
 def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
@@ -343,31 +327,22 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     """mu(T^m A cap B) as an exact enclosure; degenerate when fully resolved.
 
     This is the matrix coefficient <U^m 1_A, 1_B> whose decay over mixing
-    intervals is the quantity of interest.  With N = max_depth, the lower
-    end counts the pairs (x, y) in A^N x B^N with y = x + m (difference
-    counts E(N, m)); the upper end adds the residual, the points of A^N
-    whose image x + m leaves [0, h_N).  A cylinder B deeper than N is
-    clipped to the stage-N copies it meets and counted copy by copy.  The
-    result equals intersect_measure(apply_power(m, A, ...), B, ...) plus
+    intervals is the quantity of interest.  All is counted at one stage
+    n = max(max_depth, B.level): the lower end counts the pairs (x, y) in
+    A^n x B^n with y = x + m (difference counts E(n, m)); the upper end adds
+    the residual, the points of A^n whose image x + m leaves [0, h_n).  The
+    result equals intersect_measure(apply_power(m, A, ..., n), B, ...) plus
     that decomposition's residual.
     """
     _require_room(A, levels, max_depth)
     kernel, ua, ub = _pair_kernel(A, B, levels)
     a, x = kernel.a, -m - ua  # A's rank at y is A0's rank at y - ua
-    n = max_depth
-    if B.level <= n:
-        hits, stage = kernel.count(levels, n, m - (ub - ua)), n
-    else:
-        hits, stage = a.count_in(levels, n, _shadows(levels, B, n), x), B.level
+    n = max(max_depth, B.level)
+    hits = kernel.count(levels, n, m - (ub - ua))
     lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] + x) + a.rank(levels, n, x)
-    if not lost:
-        value = Fraction(hits, levels.cuts_product[stage])
-        return Enclosure(value, value)
     q = levels.cuts_product[n]
-    if stage == n:
-        return Enclosure(Fraction(hits, q), Fraction(hits + lost, q))
-    value = Fraction(hits, levels.cuts_product[stage])
-    return Enclosure(value, value + Fraction(lost, q))
+    lower = Fraction(hits, q)
+    return Enclosure(lower, Fraction(hits + lost, q) if lost else lower)
 
 
 def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

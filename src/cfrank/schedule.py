@@ -143,4 +143,4 @@ def _schedule_from_dict(doc: dict) -> Schedule:
 
 def load_schedule(path: str) -> Schedule:
     with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_json(json.load(fh))
+        return schedule_from_json(json.load(fh, parse_int=parse_int))

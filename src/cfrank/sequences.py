@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .errors import IntegerTooLong, InvalidSchedule
 
@@ -130,6 +131,16 @@ def digits(n: int) -> str:
             "the report would need an integer longer than the interpreter's limit of "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def printable(values: Iterable[int]) -> Iterator[int]:
+    """The values, each checked before the next is computed: the first past
+    the digit limit raises IntegerTooLong (none when the limit is 0)."""
+    bound = 10 ** sys.get_int_max_str_digits()  # 1 when there is no limit
+    for v in values:
+        if abs(v) >= bound > 1:
+            digits(v)  # more digits than the limit: raises
+        yield v
 
 
 def spec_from_json(doc) -> SequenceSpec:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Mapping
 
 from .cylinders import CylinderSet, correlation
+from .sequences import printable
 from .towers import TowerLevels
 
 
@@ -51,23 +54,20 @@ def exp_multiplicities_symmetric_square(n_max: int) -> tuple[int, ...]:
 
     These are the multiplicity values contributed by the symmetric tensor
     powers of a symmetric square; conditional on the exp operator of the
-    base transformation having a simple spectrum.
+    base transformation having a simple spectrum.  Raises IntegerTooLong
+    at the first value past sys.get_int_max_str_digits() digits.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    a = 1
-    for n in range(1, n_max + 1):
-        out.append(a)
-        a *= 2 * n + 1
-    return tuple(out)
+    return tuple(printable(accumulate(range(3, 2 * n_max, 2), mul, initial=1)))
 
 
 def exp_multiplicities_identity_product(p: int, n_max: int) -> tuple[int, ...]:
     """{p^k : 1 <= k <= n_max}, the semigroup realized by crossing with a
-    p-point identity; conditional on the same simple-spectrum hypothesis."""
+    p-point identity; conditional on the same simple-spectrum hypothesis.
+    Raises IntegerTooLong at the first value past the same digit limit."""
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return tuple(p ** k for k in range(1, n_max + 1))
+    return tuple(printable(accumulate(repeat(p, n_max), mul)))

@@ -187,6 +187,22 @@ def test_poisson_mult_integer_past_digit_limit_exit_2(tmp_path, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("kind", [["symmetric-square"], ["identity-product", "--p", "2"]],
+                         ids=["symmetric-square", "identity-product"])
+def test_poisson_mult_refuses_before_building_every_value(kind, tmp_path, capsys):
+    # refused at the first value past the digit limit, before the next is
+    # built: building all of them costs time and memory quadratic in --n-max
+    start = time.perf_counter()
+    code, text = run_main(["poisson-mult", "--kind", *kind, "--n-max", "1000000"],
+                          tmp_path / "p.json")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "cfrank: the report would need an integer longer than the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} digits; try a smaller --n-max\n")
+
+
 def test_concat_integer_past_digit_limit_exit_2(tmp_path, capsys):
     # r_4999 = 2 * 10**4999 is laid out as a list value of 5,000 digits; it
     # used to exit 2 with the interpreter's advice to lift the limit
@@ -312,6 +328,27 @@ def test_cesaro_command(sched_path, tmp_path):
     )
     assert code == 0
     assert json.loads(text)["squared_norm"] == {"numerator": "2", "denominator": "3"}
+
+
+@pytest.mark.parametrize("command, option, text", [
+    (["cesaro", "--k", "2", "--l", "2"], "--cylinder", CYL + "\n"),
+    (["scan-mixing", "--stages", "0:2", "--samples", "8"], "--tests", PAIR + "\n"),
+], ids=["cesaro-cylinder", "scan-mixing-tests"])
+def test_at_path_report_embeds_the_file_text(command, option, text, sched_path, tmp_path):
+    # the config holds the file's text, not its path: identical files in two
+    # directories give the report of that text inline, which re-runs without them
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "arg.json").write_text(text)
+        outs.append(run_main(command + ["--schedule", sched_path, "--depth", "3",
+                                        option, f"@{tmp_path / name / 'arg.json'}"],
+                             tmp_path / f"{name}.json"))
+    inline = run_main(command + ["--schedule", sched_path, "--depth", "3", option, text],
+                      tmp_path / "inline.json")
+    assert outs[0] == outs[1] == inline
+    assert inline[0] == 0
+    assert json.loads(inline[1])["config"][option[2:]] == text
 
 
 def test_inequality_command(sched_path, tmp_path):

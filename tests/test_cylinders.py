@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrank import (
@@ -268,8 +268,8 @@ def test_kernel_matches_piece_decomposition(case):
     # children by the next budget's recursion
     levels, A, B, ms, top = case
     for max_depth in range(A.level + 1, top + 1):
-        for m in ms:
-            dec = apply_power(m, A, levels, max_depth)
+        for m in ms:  # a budget below B's stage counts at B's stage
+            dec = apply_power(m, A, levels, max(max_depth, B.level))
             value = intersect_measure(dec, B, levels)
             assert correlation_bounds(m, A, B, levels, max_depth) \
                 == (value, value + dec.residual)
@@ -286,6 +286,21 @@ def test_enclosure_contains_oracle_one_stage_deeper(case):
                                                B.level, list(B.levels_set.points()),
                                                levels, depth)
         assert lo <= o_lo <= o_hi <= hi
+
+
+@settings(max_examples=100)
+@given(kernel_cases())
+def test_budgets_below_b_stage_count_at_b_stage(case):
+    # every budget from A.level + 1 up to B's stage gives the budget-B.level
+    # enclosure, and that is the oracle's at depth B.level
+    levels, A, B, ms, _ = case
+    assume(A.level < B.level)
+    for m in ms:
+        want = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
+                                         B.level, list(B.levels_set.points()),
+                                         levels, B.level)
+        for max_depth in range(A.level + 1, B.level + 1):
+            assert correlation_bounds(m, A, B, levels, max_depth) == want
 
 
 @st.composite
@@ -356,14 +371,10 @@ def test_translated_pairs_share_one_kernel(data):
         got = correlation_bounds(m, A, B, levels, max_depth)
         fresh = build_levels(levels.schedule, levels.depth)
         assert got == correlation_bounds(m, A, B, fresh, max_depth)
-        depth = max(max_depth, B.level)
-        lo, hi = oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
-                                           B.level, list(B.levels_set.points()),
-                                           fresh, depth)
-        if depth == max_depth:
-            assert got == (lo, hi)
-        else:  # B deeper than the budget: the oracle counts at B's stage
-            assert got[0] <= lo <= hi <= got[1]
+        # a budget below B's stage counts at B's stage, as the oracle does
+        assert got == oracle_correlation_bounds(m, A.level, list(A.levels_set.points()),
+                                                B.level, list(B.levels_set.points()),
+                                                fresh, max(max_depth, B.level))
 
 
 def test_kernel_with_repeated_differences():
@@ -391,7 +402,8 @@ def test_kernel_with_repeated_differences():
 def test_kernel_cylinder_deeper_than_max_depth():
     lv = build_levels(Schedule("t", 1, const(3), const(1)), 5)
     A, B = pts(0, 0), pts(3, 5)
-    assert correlation_bounds(5, A, B, lv, 1) == (Fraction(1, 27), Fraction(10, 27))
+    # counted at B's stage 3, where nothing of A^3 + 5 leaves [0, h_3)
+    assert correlation_bounds(5, A, B, lv, 1) == (Fraction(1, 27), Fraction(1, 27))
     assert correlation(5, A, B, lv, 2) == Fraction(1, 27)
 
 

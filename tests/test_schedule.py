@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cfrank import Schedule, build_levels, const, explicit
-from cfrank.errors import InvalidSchedule
+from cfrank.errors import IntegerTooLong, InvalidSchedule
 from cfrank.schedule import load_schedule, schedule_from_json, schedule_to_json
 
 
@@ -37,6 +37,16 @@ def test_decimal_strings_preserve_big_integers(tmp_path):
     back = load_schedule(str(path))
     assert back.h0 == 10**40
     assert back.z.at(5) == 10**30
+
+
+@pytest.mark.parametrize("quote", ['', '"'], ids=["bare", "quoted"])
+def test_load_schedule_integer_past_digit_limit(quote, tmp_path):
+    # a bare number goes through the same hook as a quoted one, not the
+    # interpreter's ValueError advising sys.set_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text('{"name": "x", "h0": %s%s%s, "r": "3", "z": "0"}' % (quote, "7" * 5000, quote))
+    with pytest.raises(IntegerTooLong, match="an input integer has 5000 digits"):
+        load_schedule(str(path))
 
 
 def test_fragments_document_concatenates():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cfrank import (
     exp_multiplicities_symmetric_square,
     spectral_sequence,
 )
+from cfrank.errors import IntegerTooLong
 
 
 def test_spectral_sequence_values(levels_r3_zramp):
@@ -61,3 +63,26 @@ def test_identity_product_rejects_small_p():
         exp_multiplicities_identity_product(1, 3)
     with pytest.raises(ValueError):
         exp_multiplicities_identity_product(2, 0)
+
+
+@pytest.fixture()
+def set_digit_limit():
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def test_multiplicities_stop_at_the_digit_limit(set_digit_limit):
+    set_digit_limit(640)
+    # 10^639 has 640 digits and is printable; 10^640 is the first value refused
+    assert exp_multiplicities_identity_product(10, 639)[-1] == 10**639
+    with pytest.raises(IntegerTooLong, match="limit of 640 digits"):
+        exp_multiplicities_identity_product(10, 640)
+    # refused before the next value is computed: a billion values would not finish
+    for make in (exp_multiplicities_symmetric_square,
+                 lambda n: exp_multiplicities_identity_product(2, n)):
+        with pytest.raises(IntegerTooLong, match="limit of 640 digits"):
+            make(10**9)
+    set_digit_limit(0)  # no limit: nothing is refused
+    assert len(exp_multiplicities_identity_product(10, 700)) == 700
+    assert len(str(exp_multiplicities_symmetric_square(400)[-1])) > 640
