@@ -158,6 +158,9 @@ def cmd_concat(args, config, levels):
 def cmd_scan_mixing(args, config, levels):
     tests, label = _parse_tests(args.tests, levels)
     stages = _parse_stages(args.stages)
+    for stage in stages:  # a scan stage n reads H_n and so needs stage n + 1 built
+        if stage >= levels.depth:
+            raise ValueError(f"scan stage {stage} needs --max-depth {stage + 1} or more")
     report = scan_mixing_intervals(levels, tests, stages, args.samples,
                                    args.power, args.max_depth, test_set_label=label)
     unresolved = any(not s.exact for s in report.stages)

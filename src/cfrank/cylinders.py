@@ -12,8 +12,11 @@ leaves its stage window is refined one stage deeper and retried, down to a
 caller-chosen max depth.  Correlations never build those pieces: at stage
 N = max(max_depth, B's stage) they count level pairs (x, y) of the stage-N
 refinements with y - x = m by a memoized recursion over each stage's table
-of offset differences (difference counts), and the points of A whose image
-leaves [0, h_N) by a rank query.  Refinement adds offsets, so
+of offset differences (difference counts; each kernel keeps its list of
+per-stage tables and reads only the shifts t inside the reach of the
+refined sets, -top(A^n) <= t <= top(B^n)), and the points of A whose image
+leaves [0, h_N) by a rank query.  All counts stay Python ints until a
+caller builds a Fraction.  Refinement adds offsets, so
 (A + u)^N = A^N + u and the difference counts of a pair are those of its
 translation class (both cylinders moved down to start at level 0) read at
 m minus the distance between their lowest levels: one memo per class.
@@ -206,8 +209,9 @@ def _cross_count(levels: TowerLevels, a: _Refinement, b: _Refinement, n: int,
 def _difference_table(levels: TowerLevels, n: int) -> tuple[list[int], list[int]]:
     """The distinct differences c' - c of C_n, ascending, and their multiplicities.
 
-    Kept on the tower as ("deltas", n) and shared by every kernel of it;
-    delta 0 has multiplicity r_n and the multiplicities sum to r_n ** 2.
+    Kept on the tower as ("deltas", n) and shared by every kernel of it
+    (each kernel lists the tables it reads when it is built); delta 0 has
+    multiplicity r_n and the multiplicities sum to r_n ** 2.
     """
     key = ("deltas", n)
     table = levels._cache.get(key)
@@ -231,40 +235,62 @@ class _DifferenceCounts:
                   = sum over delta of mult(delta) E(n, t - delta),
 
     with delta over the distinct differences c' - c of C_n and mult(delta)
-    the number of pairs giving it (_difference_table).  E(n, s) = 0 unless
-    |s| < h_n, so the terms that count are one slice of the sorted deltas,
-    found by two bisects.  The recursion stops at the deeper of the two
-    cylinder stages with the exact cross count.  E does not depend on m or
-    on the depth budget, so one memo per stage, keyed by t, serves every
-    correlation of every pair in the class.
+    the number of pairs giving it.  tables[n] holds stage n's sorted
+    differences and multiplicities (_difference_table), one list per kernel
+    from its base stage on.  Offsets ascend from 0, so X^n spans
+    [0, top(X^n)] with top(X^n) = max(X) + the sum of C_j[-1] over the
+    stages j from X's stage to n - 1, and E(n, s) = 0 outside the reach
+    -top(A^n) <= s <= top(B^n), a window inside (-h_n, h_n).  The children
+    that count are one slice of the sorted deltas, found by two bisects.
+    The recursion stops at the deeper of the two cylinder stages with the
+    exact cross count; an empty cylinder has an empty reach and counts 0.
+    E does not depend on m or on the depth budget, so one memo per stage,
+    keyed by t, serves every correlation of every pair in the class.
     """
 
-    __slots__ = ("a", "b", "base", "memo")
+    __slots__ = ("a", "b", "base", "tables", "reach", "memo")
 
-    def __init__(self, A: CylinderSet, B: CylinderSet, depth: int):
+    def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         self.a = _Refinement(A)
         self.b = _Refinement(B)
-        self.base = max(A.level, B.level)
+        self.base = base = max(A.level, B.level)
+        depth = levels.depth
+        self.tables = [_difference_table(levels, n) if n >= base else None
+                       for n in range(depth)]
+        # reach[n] = (-top(A^n), top(B^n)); (1, 0) is the empty window, kept
+        # below the base stage and for an empty side
+        self.reach = [(1, 0)] * (depth + 1)
+        if A.levels_set and B.levels_set:  # top_x[n - X.level] = top(X^n)
+            top_a, top_b = (list(accumulate((levels.offsets[j][-1]
+                                             for j in range(c.level, depth)),
+                                            initial=c.levels_set.max()))
+                            for c in (A, B))
+            for n in range(base, depth + 1):
+                self.reach[n] = (-top_a[n - A.level], top_b[n - B.level])
         self.memo: list[dict[int, int]] = [{} for _ in range(depth + 1)]
 
     def count(self, levels: TowerLevels, n: int, t: int) -> int:
-        if not -levels.h[n] < t < levels.h[n]:
+        lo, hi = self.reach[n]
+        if not lo <= t <= hi:
             return 0
         hit = self.memo[n].get(t)
-        if hit is not None:
-            return hit
+        return self._count(levels, n, t) if hit is None else hit
+
+    def _count(self, levels: TowerLevels, n: int, t: int) -> int:
+        """E(n, t) for a t inside stage n's reach that is not memoized yet."""
         if n == self.base:
             total = _cross_count(levels, self.a, self.b, n, t)
         else:
-            # every child t - delta has |t - delta| < h: read memo hits inline
+            # every child t - delta lies in the child's reach: read memo hits inline
             child = n - 1
-            deltas, mults = _difference_table(levels, child)
-            memo, h = self.memo[child], levels.h[child]
+            deltas, mults = self.tables[child]
+            lo, hi = self.reach[child]
+            memo = self.memo[child]
             total = 0
-            for i in range(bisect_right(deltas, t - h), bisect_left(deltas, t + h)):
+            for i in range(bisect_left(deltas, t - hi), bisect_right(deltas, t - lo)):
                 u = t - deltas[i]
                 e = memo.get(u)
-                total += mults[i] * (self.count(levels, child, u) if e is None else e)
+                total += mults[i] * (self._count(levels, child, u) if e is None else e)
         self.memo[n][t] = total
         return total
 
@@ -296,7 +322,7 @@ def _pair_kernel(A: CylinderSet, B: CylinderSet,
         class_key = ("diff", A0, B0)
         kernel = levels._cache.get(class_key)
         if kernel is None:
-            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels.depth)
+            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
         hit = levels._cache[pair_key] = (kernel, ua, ub)
     return hit
 
@@ -322,17 +348,13 @@ def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
     return total
 
 
-def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
-                       max_depth: int) -> Enclosure:
-    """mu(T^m A cap B) as an exact enclosure; degenerate when fully resolved.
+def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
+                        max_depth: int) -> tuple[int, int, int]:
+    """(hits, lost, n): mu(T^m A cap B) in units of one stage-n level.
 
-    This is the matrix coefficient <U^m 1_A, 1_B> whose decay over mixing
-    intervals is the quantity of interest.  All is counted at one stage
-    n = max(max_depth, B.level): the lower end counts the pairs (x, y) in
-    A^n x B^n with y = x + m (difference counts E(n, m)); the upper end adds
-    the residual, the points of A^n whose image x + m leaves [0, h_n).  The
-    result equals intersect_measure(apply_power(m, A, ..., n), B, ...) plus
-    that decomposition's residual.
+    n = max(max_depth, B.level) is the one stage everything is counted at;
+    hits = E(n, m) counts the pairs (x, y) in A^n x B^n with y = x + m, and
+    lost the points of A^n whose image x + m leaves [0, h_n).
     """
     _require_room(A, levels, max_depth)
     kernel, ua, ub = _pair_kernel(A, B, levels)
@@ -340,6 +362,23 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     n = max(max_depth, B.level)
     hits = kernel.count(levels, n, m - (ub - ua))
     lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] + x) + a.rank(levels, n, x)
+    return hits, lost, n
+
+
+def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
+                       max_depth: int) -> Enclosure:
+    """mu(T^m A cap B) as an exact enclosure; degenerate when fully resolved.
+
+    This is the matrix coefficient <U^m 1_A, 1_B> whose decay over mixing
+    intervals is the quantity of interest.  All is counted at one stage
+    n = max(max_depth, B.level) (_correlation_counts): the lower end counts
+    the pairs (x, y) in A^n x B^n with y = x + m (difference counts
+    E(n, m)); the upper end adds the residual, the points of A^n whose
+    image x + m leaves [0, h_n).  The result equals
+    intersect_measure(apply_power(m, A, ..., n), B, ...) plus that
+    decomposition's residual.
+    """
+    hits, lost, n = _correlation_counts(m, A, B, levels, max_depth)
     q = levels.cuts_product[n]
     lower = Fraction(hits, q)
     return Enclosure(lower, Fraction(hits + lost, q) if lost else lower)

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .cylinders import (
     CylinderSet,
+    _correlation_counts,
     apply_power,
     correlation,
     correlation_bounds,
@@ -121,21 +122,32 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
 
     The per-time value is the sup over the test set; unresolved entries
     become honest [lower, upper] intervals instead of failing the scan.
+    Every stage's times are sampled before any is counted, so a stage past
+    the tower or past MAX_SAMPLE_TIMES fails first.  Each sup is taken on
+    the integer counts (_correlation_counts) scaled to one level of the
+    deepest stage counted at that time; only the two ends become Fractions.
     """
     if power == 0:
         raise ValueError("power must be non-zero")
     if samples_per_stage < 1:
         raise ValueError(f"samples per stage must be >= 1, got {samples_per_stage}")
     test_sets = list(test_sets)
+    cuts = levels.cuts_product
+    samples = [(stage, stratified_times(levels, stage, samples_per_stage))
+               for stage in stages]
     records = []
-    for stage in stages:
-        times = stratified_times(levels, stage, samples_per_stage)
+    for stage, times in samples:
         values = []
         for m in times:
-            sup = Enclosure(Fraction(0), Fraction(0))
-            for A, B in test_sets:
-                sup = sup.max(correlation_bounds(power * m, A, B, levels, max_depth))
-            values.append(sup)
+            counts = [_correlation_counts(power * m, A, B, levels, max_depth)
+                      for A, B in test_sets]
+            q = cuts[max((n for _, _, n in counts), default=0)]
+            lower = upper = 0
+            for hits, lost, n in counts:
+                scale = q // cuts[n]
+                lower = max(lower, hits * scale)
+                upper = max(upper, (hits + lost) * scale)
+            values.append(Enclosure(Fraction(lower, q), Fraction(upper, q)))
         records.append(StageDecay(
             stage, (levels.h[stage], 2 * levels.bigH[stage]), tuple(times), tuple(values)
         ))
@@ -236,9 +248,12 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     mu_b = lhs_series.norm(levels, 1)
     lhs_sq = lhs_series.norm(levels, R)
     rhs_norm_sq = rhs_series.norm(levels, L)
-    s = Fraction(r * L, R)
     lhs = lhs_series.root(levels, R)
-    rhs = rhs_series.root(levels, L) + s * lhs_series.root(levels, 1)
+    # each end of rhs = root_L + (r L / R) root_1 as one Fraction
+    rhs = Enclosure(*(Fraction(x.numerator * y.denominator * R
+                               + r * L * y.numerator * x.denominator,
+                               x.denominator * y.denominator * R)
+                      for x, y in zip(rhs_series.root(levels, L), lhs_series.root(levels, 1))))
     if lhs.upper <= rhs.lower:
         holds, decided = True, "enclosure"
     elif lhs.lower > rhs.upper:
@@ -246,6 +261,7 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     else:
         # decide sqrt(lhs_sq) <= sqrt(rhs_norm_sq) + s sqrt(mu_b) exactly:
         # square once, isolate the remaining root, square again
+        s = Fraction(r * L, R)
         t = lhs_sq - rhs_norm_sq - s * s * mu_b
         holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
         decided = "exact"

@@ -38,9 +38,12 @@ class TowerLevels:
     Construction data never changes after build.  The private _cache only
     memoizes pure results, keyed by tuples whose layout the function that
     builds each entry documents (_difference_table, _pair_kernel,
-    _cesaro_series, _base, oracle_correlation_bounds).  Finished
-    correlations are not memoized.  No entry is bounded; all live as long
-    as the TowerLevels.
+    _cesaro_series, _base, oracle_correlation_bounds).  A class kernel
+    holds the list of per-stage difference tables it reads and one memo
+    dict per stage, keyed by the shifts inside its reach window
+    -top(A^n) <= t <= top(B^n), so shifts whose count is zero for want of
+    overlap take no entry.  Finished correlations are not memoized.  No
+    entry is bounded; all live as long as the TowerLevels.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

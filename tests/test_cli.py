@@ -443,7 +443,8 @@ def test_scan_stage_beyond_depth_exit_2(sched_path, tmp_path, capsys):
                            "--stages", "0:9"], tmp_path / "x.out")
     assert code == 2
     assert text == ""
-    assert "level 3 requested but only 2 stages materialized" in capsys.readouterr().err
+    # named before any stage is counted
+    assert "scan stage 2 needs --max-depth 3 or more" in capsys.readouterr().err
 
 
 def test_poisson_mult_bad_p_exit_2(tmp_path, capsys):

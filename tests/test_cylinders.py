@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,40 @@ def test_kernel_with_repeated_differences():
                 ys = set(refine(B, n, lv).levels_set.points())
                 for t in range(-lv.h[n] + 1, lv.h[n]):
                     assert kernel.count(lv, n, t) == sum(x + t in ys for x in xs), (A, B, n, t)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_kernel_counts_inside_and_past_the_reach(data):
+    # E(n, t) is zero outside -top(A0^n) <= t <= top(B0^n) and the kernel
+    # reads no child there; at every t of (-h_n, h_n) it must still match
+    # the pair count of the refined level sets, empty cylinders included
+    levels = data.draw(small_towers())
+
+    def cylinder():
+        level = data.draw(st.integers(0, levels.depth))
+        h = levels.h[level]
+        spans = data.draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(1, 2)),
+                                   max_size=2))
+        return CylinderSet.from_pairs(level, [(a, min(h, a + w)) for a, w in spans])
+
+    A, B = cylinder(), cylinder()
+    kernel, ua, ub = _pair_kernel(A, B, levels)
+    A0, B0 = (CylinderSet(c.level, c.levels_set.shift(-u)) for c, u in ((A, ua), (B, ub)))
+    for n in range(max(A.level, B.level), levels.depth + 1):
+        xs = list(refine(A0, n, levels).levels_set.points())
+        ys = list(refine(B0, n, levels).levels_set.points())
+        want = Counter(y - x for x in xs for y in ys)
+        h = levels.h[n]
+        for t in range(-h + 1, h):
+            assert kernel.count(levels, n, t) == want[t], (n, t)
+        if xs and ys:  # both edges count, one step past either does not
+            lo, hi = -max(xs), max(ys)
+            assert kernel.reach[n] == (lo, hi)
+            assert kernel.count(levels, n, lo) and kernel.count(levels, n, hi)
+            assert kernel.count(levels, n, lo - 1) == kernel.count(levels, n, hi + 1) == 0
+        else:  # an empty side: every t is outside the reach and takes no entry
+            assert not kernel.memo[n]
 
 
 def test_kernel_cylinder_deeper_than_max_depth():

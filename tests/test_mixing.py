@@ -16,12 +16,13 @@ from cfrank import (
     check_averaging_inequality,
     const,
     correlation,
+    correlation_bounds,
     scan_mixing_intervals,
     sqrt_enclosure,
     stage_term_decomposition,
     stratified_times,
 )
-from cfrank.errors import DepthExhausted
+from cfrank.errors import DepthExhausted, DepthUnavailable, Enclosure
 from cfrank.mixing import (
     MAX_SAMPLE_TIMES,
     outside_proof_window,
@@ -123,6 +124,49 @@ def test_scan_empty_cylinder_all_zero(levels_r3_zramp):
     rep = scan_mixing_intervals(lv, [(empty, pts(0, 0))], [0, 1], 6, 1, 4)
     for sd in rep.stages:
         assert sd.max_upper == 0
+
+
+def pairwise_sup(m, tests, levels, max_depth):
+    sup = Enclosure(Fraction(0), Fraction(0))
+    for A, B in tests:
+        sup = sup.max(correlation_bounds(m, A, B, levels, max_depth))
+    return sup
+
+
+@pytest.mark.parametrize("case", ["deep-b", "empty-cylinder", "empty-set"])
+@pytest.mark.parametrize("power", [1, -2])
+def test_scan_integer_sups_match_pairwise_enclosures(levels_r3_zramp, case, power):
+    # each sup is taken on counts scaled to one level of the deepest stage
+    # counted at that time; per pair it is the Enclosure.max of correlation_bounds
+    lv = levels_r3_zramp
+    tests = {
+        # B at stage 3, past the budget 2: counted at stage 3, the rest at 2
+        "deep-b": [(pts(0, 0), pts(1, 0, 4)), (pts(1, 2, 5), pts(3, 7, 40, 41)),
+                   (pts(1, 6), pts(2, 0, 13))],
+        "empty-cylinder": [(CylinderSet.from_points(1, []), pts(1, 3)),
+                           (pts(1, 2), CylinderSet.from_points(2, [])), (pts(1, 1), pts(2, 5))],
+        "empty-set": [],
+    }[case]
+    rep = scan_mixing_intervals(lv, tests, [1, 2, 3], 6, power, 2)
+    seen = set()
+    for sd in rep.stages:
+        for m, value in zip(sd.times, sd.values):
+            want = pairwise_sup(power * m, tests, lv, 2)
+            assert value == want and [type(v) for v in value] == [Fraction, Fraction]
+            seen.add((value.lower > 0, value.lower < value.upper))
+    if case == "deep-b":  # some sups are unresolved, some held by the stage-3 pair
+        assert (True, True) in seen
+        assert any(27 in (v.lower.denominator, v.upper.denominator)
+                   for sd in rep.stages for v in sd.values)
+
+
+def test_scan_samples_every_stage_before_counting(levels_r3_zramp, monkeypatch):
+    def never(*args):
+        raise AssertionError("counted before every stage was sampled")
+
+    monkeypatch.setattr("cfrank.mixing._correlation_counts", never)
+    with pytest.raises(DepthUnavailable, match="level 6 requested"):
+        scan_mixing_intervals(levels_r3_zramp, [(pts(0, 0), pts(0, 0))], [1, 2, 5], 4, 1, 4)
 
 
 def test_scan_rejects_zero_power(levels_r3_zramp):
@@ -298,6 +342,20 @@ def test_inequality_random_grid(levels_r3_zramp):
         b = CylinderSet(1, b.levels_set)
         rep = check_averaging_inequality(R, L, r, b, lv, 5)
         assert rep.holds, (R, L, r)
+
+
+def test_inequality_rhs_is_root_l_plus_scaled_root_1(levels_r3_zramp):
+    # rhs is built end by end from integer numerators; it must equal the
+    # enclosure sum root_L + (r L / R) root_1
+    lv = levels_r3_zramp
+    B = pts(1, 2, 5)
+    root_1 = sqrt_enclosure(B.measure(lv))
+    for R in (2, 5, 12):
+        for L in (1, 3, 4):
+            for r in (1, 2, 4):
+                rep = check_averaging_inequality(R, L, r, B, lv, 5)
+                root_l = sqrt_enclosure(cesaro_norm(r, L, B, lv, 5))
+                assert rep.rhs == root_l + Fraction(r * L, R) * root_1
 
 
 # ------------------------------------------------------------- weak limits
