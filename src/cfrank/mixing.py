@@ -31,20 +31,24 @@ SQRT_BITS = 64  # every square-root enclosure is at most 2**-SQRT_BITS wide
 MAX_SAMPLE_TIMES = 1 << 20  # the most times stratified_times builds for one stage
 
 
+def _sqrt_ends(x: Fraction) -> tuple[int, int, int]:
+    """(lo, hi, d) with lo/d <= sqrt(x) <= hi/d for a rational x >= 0.
+
+    d = denominator(x) * 2**SQRT_BITS and hi - lo is 1, or 0 on an exact root.
+    """
+    p, q = x.numerator, x.denominator
+    n = (p * q) << (2 * SQRT_BITS)
+    s = isqrt(n)
+    return s, s + (s * s != n), q << SQRT_BITS
+
+
 def sqrt_enclosure(x: Fraction) -> Enclosure:
     """Exact rational [lo, hi] with lo <= sqrt(x) <= hi, hi - lo <= 2**-SQRT_BITS."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of a negative rational")
-    if x == 0:
-        return Enclosure(Fraction(0), Fraction(0))
-    p, q = x.numerator, x.denominator
-    n = (p * q) << (2 * SQRT_BITS)
-    s = isqrt(n)
-    lo = Fraction(s, q << SQRT_BITS)
-    if s * s == n:
-        return Enclosure(lo, lo)
-    return Enclosure(lo, Fraction(s + 1, q << SQRT_BITS))
+    lo, hi, d = _sqrt_ends(x)
+    return Enclosure(Fraction(lo, d), Fraction(hi, d))
 
 
 def canonical_test_set(levels: TowerLevels) -> list[Pair]:
@@ -155,37 +159,49 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
 
 
 class _CesaroSeries:
-    """Every Cesaro norm of one (k, B, max_depth), from running sums S0, S1.
+    """Every Cesaro norm of one (k, B, max_depth), from integer running sums.
 
-    Lengths are finished in increasing order (see cesaro_norm), so the
-    first unresolved c_p raises DepthExhausted for every longer average
-    and leaves the shorter ones intact.  roots[l] is the square-root
-    enclosure of the length-l norm.
+    All is counted at the one stage n = max(max_depth, B.level) of
+    _correlation_counts, where one level has measure 1/q, q = cuts_product[n]:
+    size = |B^n| = q mu(B), and s0, s1 are the integer sums of the hit
+    counts h_p = q c_p and of p h_p.  The length-l norm is then the one
+    Fraction (l size + 2 (l s0 - s1)) / (l^2 q).  Lengths are finished in increasing
+    order (see cesaro_norm), so the first unresolved c_p raises the
+    DepthExhausted that correlation raises, for every longer average, and
+    leaves the shorter ones intact.  roots[l] is the square-root enclosure
+    of the length-l norm and its ends lo/d, hi/d as integers (lo, hi, d).
     """
 
     __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
 
     def __init__(self, k: int, B: CylinderSet, levels: TowerLevels, max_depth: int):
         self.k, self.B, self.max_depth = k, B, max_depth
-        self.s0 = self.s1 = Fraction(0)
+        self.s0 = self.s1 = 0
         self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
-        self.roots: dict[int, Enclosure] = {}
+        self.roots: dict[int, tuple[Enclosure, int, int, int]] = {}
 
     def norm(self, levels: TowerLevels, l: int) -> Fraction:
+        B = self.B
         while len(self.norms) < l:
             p = len(self.norms)
-            c = correlation(p * self.k, self.B, self.B, levels, self.max_depth)
-            self.s0 += c
-            self.s1 += p * c
-            n = p + 1
-            self.norms.append(Fraction(self.norms[0], n)
-                              + Fraction(2 * (n * self.s0 - self.s1), n * n))
+            hits, lost, n = _correlation_counts(p * self.k, B, B, levels, self.max_depth)
+            q = levels.cuts_product[n]
+            if lost:
+                raise DepthExhausted(Enclosure(Fraction(hits, q), Fraction(hits + lost, q)))
+            self.s0 += hits
+            self.s1 += p * hits
+            size = B.levels_set.cardinality * (q // levels.cuts_product[B.level])
+            l_new = p + 1
+            self.norms.append(Fraction(l_new * size + 2 * (l_new * self.s0 - self.s1),
+                                       l_new * l_new * q))
         return self.norms[l - 1]
 
-    def root(self, levels: TowerLevels, l: int) -> Enclosure:
-        if l not in self.roots:
-            self.roots[l] = sqrt_enclosure(self.norm(levels, l))
-        return self.roots[l]
+    def root(self, levels: TowerLevels, l: int) -> tuple[Enclosure, int, int, int]:
+        hit = self.roots.get(l)
+        if hit is None:
+            lo, hi, d = _sqrt_ends(self.norm(levels, l))
+            hit = self.roots[l] = (Enclosure(Fraction(lo, d), Fraction(hi, d)), lo, hi, d)
+        return hit
 
 
 def _cesaro_series(k: int, B: CylinderSet, levels: TowerLevels,
@@ -221,9 +237,11 @@ class InequalityReport:
     """Both sides of the averaging inequality with exact enclosures.
 
     lhs is the norm of the step-1 average of length R; rhs is the norm of
-    the step-r average of length L plus (r L / R) sqrt(mu(B)).  `holds` is
-    decided from the safe sides of the enclosures, falling back to an exact
-    algebraic comparison when the enclosures alone cannot separate sides.
+    the step-r average of length L plus (r L / R) sqrt(mu(B)).  rhs is not
+    a dataclass field: it is computed when read, end by end, from
+    rhs_norm_sq, mu_b, R, L and r.  `holds` is decided from the safe sides
+    of the enclosures, falling back to an exact algebraic comparison when
+    the enclosures alone cannot separate sides.
     """
 
     R: int
@@ -233,13 +251,27 @@ class InequalityReport:
     lhs_sq: Fraction
     rhs_norm_sq: Fraction
     lhs: Enclosure
-    rhs: Enclosure
     holds: bool
     decided_by: str
+
+    @property
+    def rhs(self) -> Enclosure:
+        """root_L + (r L / R) root_1, computed when read."""
+        return (sqrt_enclosure(self.rhs_norm_sq)
+                + Fraction(self.r * self.L, self.R) * sqrt_enclosure(self.mu_b))
 
 
 def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
                                levels: TowerLevels, max_depth: int) -> InequalityReport:
+    """Check ||step-1 average of length R|| <= ||step-r average of length L||
+    + (r L / R) sqrt(mu(B)) for the cylinder B.
+
+    The norms come from the two Cesaro series of B (integer hit counts, one
+    Fraction per norm), both kept on the tower.  The verdict compares the
+    cached integer root ends lo/d, hi/d by cross-products, building no
+    Fraction: every denominator is positive, so a/b <= c/e exactly when
+    a e <= c b.  Only when the enclosures overlap does it decide exactly.
+    """
     if min(R, L, r) < 1:
         raise ValueError("R, L, r must all be >= 1")
     lhs_series = _cesaro_series(1, B, levels, max_depth)
@@ -248,15 +280,15 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     mu_b = lhs_series.norm(levels, 1)
     lhs_sq = lhs_series.norm(levels, R)
     rhs_norm_sq = rhs_series.norm(levels, L)
-    lhs = lhs_series.root(levels, R)
-    # each end of rhs = root_L + (r L / R) root_1 as one Fraction
-    rhs = Enclosure(*(Fraction(x.numerator * y.denominator * R
-                               + r * L * y.numerator * x.denominator,
-                               x.denominator * y.denominator * R)
-                      for x, y in zip(rhs_series.root(levels, L), lhs_series.root(levels, 1))))
-    if lhs.upper <= rhs.lower:
+    lhs, lo, hi, d = lhs_series.root(levels, R)
+    _, lo_l, hi_l, d_l = rhs_series.root(levels, L)
+    _, lo_1, hi_1, d_1 = lhs_series.root(levels, 1)
+    # the ends of rhs = root_L + (r L / R) root_1 are
+    # (x_l d_1 R + r L d_l x_1) / den over den = d_l d_1 R, x = lo or hi
+    scale, den = r * L * d_l, d_l * d_1 * R
+    if hi * den <= (lo_l * d_1 * R + scale * lo_1) * d:
         holds, decided = True, "enclosure"
-    elif lhs.lower > rhs.upper:
+    elif lo * den > (hi_l * d_1 * R + scale * hi_1) * d:
         holds, decided = False, "enclosure"
     else:
         # decide sqrt(lhs_sq) <= sqrt(rhs_norm_sq) + s sqrt(mu_b) exactly:
@@ -265,7 +297,7 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
         t = lhs_sq - rhs_norm_sq - s * s * mu_b
         holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
         decided = "exact"
-    return InequalityReport(R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, rhs, holds, decided)
+    return InequalityReport(R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, holds, decided)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrank import (
@@ -331,6 +331,9 @@ def test_inequality_empty_set(levels_r3_zramp):
     rep = check_averaging_inequality(5, 2, 3, empty, levels_r3_zramp, 4)
     assert rep.holds
     assert rep.mu_b == 0 and rep.lhs == (0, 0)
+    # 0 <= 0 on the enclosure ends: decided without the exact fallback
+    assert rep.rhs == (0, 0)
+    assert rep.decided_by == "enclosure"
 
 
 def test_inequality_random_grid(levels_r3_zramp):
@@ -344,18 +347,50 @@ def test_inequality_random_grid(levels_r3_zramp):
         assert rep.holds, (R, L, r)
 
 
-def test_inequality_rhs_is_root_l_plus_scaled_root_1(levels_r3_zramp):
-    # rhs is built end by end from integer numerators; it must equal the
-    # enclosure sum root_L + (r L / R) root_1
-    lv = levels_r3_zramp
-    B = pts(1, 2, 5)
-    root_1 = sqrt_enclosure(B.measure(lv))
-    for R in (2, 5, 12):
-        for L in (1, 3, 4):
-            for r in (1, 2, 4):
-                rep = check_averaging_inequality(R, L, r, B, lv, 5)
-                root_l = sqrt_enclosure(cesaro_norm(r, L, B, lv, 5))
-                assert rep.rhs == root_l + Fraction(r * L, R) * root_1
+@st.composite
+def inequality_cases(draw):
+    """A small tower whose spacers grow by one per stage (so most averages
+    resolve), a cylinder B of up to two intervals, empty B included, a
+    budget, and R, L, r."""
+    sched = Schedule("c", draw(st.integers(1, 3)), const(draw(st.integers(2, 3))),
+                     affine(draw(st.integers(0, 2)), 1))
+    levels = build_levels(sched, 6)
+    level = draw(st.integers(0, 2))
+    size = min(draw(st.sampled_from((2, 3, 4, 0))), levels.h[level] + 1)
+    cuts = sorted(draw(st.sets(st.integers(0, levels.h[level]), min_size=size,
+                               max_size=size)))
+    B = CylinderSet.from_pairs(level, list(zip(cuts[::2], cuts[1::2])))
+    max_depth = draw(st.integers(level + 1, 6))
+    R, L, r = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return levels, B, max_depth, R, L, r
+
+
+@settings(max_examples=150)
+@given(inequality_cases())
+def test_inequality_rhs_is_root_l_plus_scaled_root_1(case):
+    """rhs (computed when read) and lhs are the square-root enclosures of
+    the report's own norms, and the integer verdict is the comparison of
+    their Fraction ends."""
+    levels, B, max_depth, R, L, r = case
+    try:
+        rep = check_averaging_inequality(R, L, r, B, levels, max_depth)
+    except DepthExhausted:
+        assume(False)
+    assert (rep.mu_b, rep.lhs_sq, rep.rhs_norm_sq) == (
+        B.measure(levels), cesaro_norm(1, R, B, levels, max_depth),
+        cesaro_norm(r, L, B, levels, max_depth))
+    s = Fraction(r * L, R)
+    assert rep.rhs == sqrt_enclosure(rep.rhs_norm_sq) + s * sqrt_enclosure(rep.mu_b)
+    assert rep.lhs == sqrt_enclosure(rep.lhs_sq)
+    # the verdict as decided on Fraction ends of the two enclosures
+    if rep.lhs.upper <= rep.rhs.lower:
+        want = True, "enclosure"
+    elif rep.lhs.lower > rep.rhs.upper:
+        want = False, "enclosure"
+    else:
+        t = rep.lhs_sq - rep.rhs_norm_sq - s * s * rep.mu_b
+        want = t <= 0 or t * t <= 4 * s * s * rep.rhs_norm_sq * rep.mu_b, "exact"
+    assert (rep.holds, rep.decided_by) == want
 
 
 # ------------------------------------------------------------- weak limits
