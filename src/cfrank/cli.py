@@ -102,10 +102,14 @@ def _parse_stages(raw: str) -> list[int]:
     try:
         if ":" in raw:
             a, b = raw.split(":")
-            return list(range(int(a), int(b)))
-        return [int(s) for s in raw.split(",") if s]
+            stages = list(range(int(a), int(b)))
+        else:
+            stages = [int(s) for s in raw.split(",") if s]
     except ValueError as exc:
         raise ValueError(f"bad --stages {raw!r}") from exc
+    if not stages:
+        raise ValueError(f"--stages {raw!r} names no stage")
+    return stages
 
 
 def _write(text: str, out: str):
@@ -182,6 +186,8 @@ def cmd_weak_limits(args, config, levels):
         times = [int(t) for t in args.times.split(",") if t]
     except ValueError as exc:
         raise ValueError(f"bad --times {args.times!r}") from exc
+    if not times:
+        raise ValueError(f"--times {args.times!r} names no time")
     bounds = weak_limit_discrepancy_bounds(times, target, tests, levels, args.max_depth)
     config["target"] = {str(j): str(a) for j, a in target.items()}
     body = {

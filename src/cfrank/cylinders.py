@@ -43,6 +43,15 @@ class CylinderSet:
     level: int
     levels_set: IntervalSet
 
+    def __hash__(self) -> int:
+        """The generated dataclass hash, computed once (see IntervalSet.__hash__)."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.level, self.levels_set))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @staticmethod
     def from_points(level: int, points) -> "CylinderSet":
         return CylinderSet(level, IntervalSet.from_points(points))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cylinders import (
     CylinderSet,
@@ -168,8 +168,9 @@ class _CesaroSeries:
     Fraction (l size + 2 (l s0 - s1)) / (l^2 q).  Lengths are finished in increasing
     order (see cesaro_norm), so the first unresolved c_p raises the
     DepthExhausted that correlation raises, for every longer average, and
-    leaves the shorter ones intact.  roots[l] is the square-root enclosure
-    of the length-l norm and its ends lo/d, hi/d as integers (lo, hi, d).
+    leaves the shorter ones intact.  roots[l] holds the length-l norm, its
+    square-root enclosure and that enclosure's ends lo/d, hi/d as integers
+    (lo, hi, d).
     """
 
     __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
@@ -178,7 +179,7 @@ class _CesaroSeries:
         self.k, self.B, self.max_depth = k, B, max_depth
         self.s0 = self.s1 = 0
         self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
-        self.roots: dict[int, tuple[Enclosure, int, int, int]] = {}
+        self.roots: dict[int, tuple[Fraction, Enclosure, int, int, int]] = {}
 
     def norm(self, levels: TowerLevels, l: int) -> Fraction:
         B = self.B
@@ -196,11 +197,14 @@ class _CesaroSeries:
                                        l_new * l_new * q))
         return self.norms[l - 1]
 
-    def root(self, levels: TowerLevels, l: int) -> tuple[Enclosure, int, int, int]:
+    def root(self, levels: TowerLevels, l: int) -> tuple[Fraction, Enclosure, int, int, int]:
+        """(norm, its root enclosure, lo, hi, d) of length l, from one lookup."""
         hit = self.roots.get(l)
         if hit is None:
-            lo, hi, d = _sqrt_ends(self.norm(levels, l))
-            hit = self.roots[l] = (Enclosure(Fraction(lo, d), Fraction(hi, d)), lo, hi, d)
+            norm = self.norm(levels, l)
+            lo, hi, d = _sqrt_ends(norm)
+            hit = self.roots[l] = (norm, Enclosure(Fraction(lo, d), Fraction(hi, d)),
+                                   lo, hi, d)
         return hit
 
 
@@ -232,16 +236,17 @@ def cesaro_norm(k: int, l: int, B: CylinderSet, levels: TowerLevels,
     return _cesaro_series(k, B, levels, max_depth).norm(levels, l)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Both sides of the averaging inequality with exact enclosures.
 
     lhs is the norm of the step-1 average of length R; rhs is the norm of
     the step-r average of length L plus (r L / R) sqrt(mu(B)).  rhs is not
-    a dataclass field: it is computed when read, end by end, from
-    rhs_norm_sq, mu_b, R, L and r.  `holds` is decided from the safe sides
-    of the enclosures, falling back to an exact algebraic comparison when
-    the enclosures alone cannot separate sides.
+    a field: it is computed when read, end by end, from rhs_norm_sq, mu_b,
+    R, L and r.  `holds` is decided from the safe sides of the enclosures,
+    falling back to an exact algebraic comparison when the enclosures alone
+    cannot separate sides.  Like Enclosure, the report is an immutable
+    tuple: one is built per cell of the averaging grid, and a tuple is
+    built in one step where a frozen dataclass sets each field in turn.
     """
 
     R: int
@@ -275,14 +280,10 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     if min(R, L, r) < 1:
         raise ValueError("R, L, r must all be >= 1")
     lhs_series = _cesaro_series(1, B, levels, max_depth)
-    rhs_series = _cesaro_series(r, B, levels, max_depth)
+    lhs_sq, lhs, lo, hi, d = lhs_series.root(levels, R)
+    rhs_norm_sq, _, lo_l, hi_l, d_l = _cesaro_series(r, B, levels, max_depth).root(levels, L)
     # the length-1 average is 1_B itself: its norm is mu(B), its root sqrt(mu(B))
-    mu_b = lhs_series.norm(levels, 1)
-    lhs_sq = lhs_series.norm(levels, R)
-    rhs_norm_sq = rhs_series.norm(levels, L)
-    lhs, lo, hi, d = lhs_series.root(levels, R)
-    _, lo_l, hi_l, d_l = rhs_series.root(levels, L)
-    _, lo_1, hi_1, d_1 = lhs_series.root(levels, 1)
+    mu_b, _, lo_1, hi_1, d_1 = lhs_series.root(levels, 1)
     # the ends of rhs = root_L + (r L / R) root_1 are
     # (x_l d_1 R + r L d_l x_1) / den over den = d_l d_1 R, x = lo or hi
     scale, den = r * L * d_l, d_l * d_1 * R

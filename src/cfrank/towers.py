@@ -43,7 +43,9 @@ class TowerLevels:
     dict per stage, keyed by the shifts inside its reach window
     -top(A^n) <= t <= top(B^n), so shifts whose count is zero for want of
     overlap take no entry.  Finished correlations are not memoized.  No
-    entry is bounded; all live as long as the TowerLevels.
+    entry is bounded; all live as long as the TowerLevels.  A cylinder in
+    a key hashes once: CylinderSet and IntervalSet keep their hash after
+    the first lookup.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",

@@ -484,6 +484,21 @@ def test_bad_integer_list_exit_2(command, option, value, sched_path, tmp_path, c
     assert capsys.readouterr().err == f"cfrank: bad {option} {value!r}\n"
 
 
+@pytest.mark.parametrize("command, option, value", [
+    (["scan-mixing"], "--stages", "3:1"),
+    (["scan-mixing"], "--stages", ","),
+    (["weak-limits", "--target", '{"0": "1/3"}'], "--times", ","),
+])
+def test_empty_stage_or_time_list_exit_2(command, option, value, sched_path, tmp_path,
+                                         capsys):
+    # an empty list used to exit 0 with an empty report
+    code, text = run_main(command + ["--schedule", sched_path, "--depth", "2", "--tests", PAIR,
+                                     option, value], tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith(f"cfrank: {option} {value!r} names no ")
+
+
 @pytest.mark.parametrize("target", ['{"0": null}', '{"0": [1]}', '{"0": "1/0"}',
                                     '{"0": 1e400}', '{"x": "1"}', "5"])
 def test_weak_limits_bad_target_exit_2(target, sched_path, tmp_path, capsys):

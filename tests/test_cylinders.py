@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +38,37 @@ def union_at(dec, level, lv):
     for p in dec.pieces:
         out = out.union(refine(p, level, lv).levels_set)
     return out
+
+
+@given(st.integers(0, 5), st.lists(st.integers(0, 80), max_size=20), st.integers(-40, 40))
+def test_cylinder_hash_is_the_dataclass_hash_kept_per_instance(level, ps, k):
+    """hash(c) is the generated value hash((level, levels_set)), computed once
+    and kept on the instance; written through the set's own generated value
+    hash((intervals,)), it reads no kept hash at all."""
+    c = CylinderSet.from_points(level, ps)
+
+    def generated(cyl):
+        return hash((cyl.level, (cyl.levels_set.intervals,)))
+
+    want = generated(c)
+    assert hash(c) == want
+    memo = {("cesaro", 1, c, 24): "c"}
+    assert hash(c) == want
+    for twin in (CylinderSet.from_pairs(level, [(p, p + 1) for p in ps]),
+                 CylinderSet(level, c.levels_set.shift(k).shift(-k)),
+                 CylinderSet(level, IntervalSet(c.levels_set.intervals))):
+        assert twin == c and hash(twin) == want and memo[("cesaro", 1, twin, 24)] == "c"
+    moved = CylinderSet(level, c.levels_set.shift(k))
+    deeper = dataclasses.replace(c, level=level + 1)
+    for other in (moved, deeper, dataclasses.replace(c, levels_set=moved.levels_set)):
+        assert hash(other) == generated(other)
+    assert deeper != c
+    for round_trip in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c),
+                       pickle.loads(pickle.dumps(CylinderSet.from_points(level, ps)))):
+        assert round_trip == c and hash(round_trip) == want
+    assert [f.name for f in dataclasses.fields(c)] == ["level", "levels_set"]
+    assert "_hash" not in repr(c)
+    assert repr(c) == repr(CylinderSet.from_points(level, ps))
 
 
 # ---------------------------------------------------------------- refine

@@ -1,5 +1,9 @@
 """IntervalSet algebra against a plain set-of-integers model."""
 
+import copy
+import dataclasses
+import pickle
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -74,3 +78,29 @@ def test_subset_and_within(xs, lo, width):
     assert a.within(lo, lo + width) == (as_set(a) <= set(range(lo, lo + width)))
     if a:
         assert a.within(a.min(), a.max() + 1)
+
+
+@given(points, st.integers(-40, 40))
+def test_hash_is_the_dataclass_hash_kept_per_instance(ps, k):
+    """hash(s) is the generated dataclass value hash((intervals,)), computed
+    once and kept on the instance: equal sets hash equal whatever their
+    route, derived sets and copies hash by their own value, and the kept
+    hash is neither a field nor part of repr or ==."""
+    s = IntervalSet.from_points(ps)
+    want = hash((s.intervals,))
+    assert hash(s) == want
+    memo = {s: "s"}
+    assert hash(s) == want
+    for twin in (IntervalSet.from_pairs((p, p + 1) for p in ps), s.shift(k).shift(-k),
+                 IntervalSet(s.intervals)):
+        assert twin == s and hash(twin) == want and memo[twin] == "s"
+    moved = s.shift(k)
+    assert hash(moved) == hash((moved.intervals,))
+    replaced = dataclasses.replace(s, intervals=moved.intervals)
+    assert replaced == moved and hash(replaced) == hash((moved.intervals,))
+    for round_trip in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
+                       pickle.loads(pickle.dumps(IntervalSet(s.intervals)))):
+        assert round_trip == s and hash(round_trip) == want
+    assert [f.name for f in dataclasses.fields(s)] == ["intervals"]
+    assert "_hash" not in repr(s) and repr(s) == repr(IntervalSet(s.intervals))
+    assert (moved == s) == (as_set(moved) == as_set(s))

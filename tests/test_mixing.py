@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cfrank import (
     CylinderSet,
+    InequalityReport,
     Schedule,
     WeakLimitTarget,
     affine,
@@ -334,6 +335,18 @@ def test_inequality_empty_set(levels_r3_zramp):
     # 0 <= 0 on the enclosure ends: decided without the exact fallback
     assert rep.rhs == (0, 0)
     assert rep.decided_by == "enclosure"
+
+
+def test_inequality_report_is_an_immutable_tuple(levels_r3_zramp):
+    rep = check_averaging_inequality(6, 2, 2, pts(0, 0), levels_r3_zramp, 4)
+    assert isinstance(rep, tuple)
+    assert InequalityReport._fields == ("R", "L", "r", "mu_b", "lhs_sq", "rhs_norm_sq",
+                                        "lhs", "holds", "decided_by")
+    for name in InequalityReport._fields + ("rhs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, rep.R)
+    assert rep.rhs == (sqrt_enclosure(rep.rhs_norm_sq)
+                       + Fraction(2 * 2, 6) * sqrt_enclosure(rep.mu_b))
 
 
 def test_inequality_random_grid(levels_r3_zramp):
