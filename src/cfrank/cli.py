@@ -12,15 +12,17 @@ violation, 4 unresolved depth: with --strict for the commands that report
 enclosures (scan-mixing, weak-limits), always for the commands that report
 exact values only (cesaro, inequality, spectrum).
 
-One path runs every command: main parses the options, and its helper _run
-loads the schedule, builds the tower, calls the command and writes the
-text it returns to --out; main then turns an unresolved report under
---strict into exit 4.  A command only computes its report.  The type of
-an error alone decides its exit code, with one except arm per family: a
-ValueError exits 2, an InvalidSchedule 3, a DepthExhausted 4.  So a
-report that would need an integer longer than the interpreter prints
-(sys.get_int_max_str_digits()) exits 2 before anything is written, and so
-does an input integer past that limit.
+One path runs every command: main builds the parser of the one subcommand
+its first argument names (all eight for no argument, --help or an unknown
+name) and parses the options, and its helper _run loads the schedule,
+builds the tower, calls the command and writes the text it returns to
+--out; main then turns an unresolved report under --strict into exit 4.  A
+command only computes its report.  The type of an error alone decides its
+exit code, with one except arm per family: a ValueError exits 2, an
+InvalidSchedule 3, a DepthExhausted 4.  So a report that would need an
+integer longer than the interpreter prints (sys.get_int_max_str_digits())
+exits 2 before anything is written, and so does an input integer past
+that limit.
 """
 
 from __future__ import annotations
@@ -250,82 +252,74 @@ def cmd_poisson_mult(args, config, levels):
 
 # ---------------------------------------------------------------- plumbing
 
-def _add_common(p, max_depth=True, csv=False):
-    p.add_argument("--schedule", required=True, help="path to a schedule JSON file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    if max_depth:
-        p.add_argument("--max-depth", type=int, dest="max_depth")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 4 when any entry is unresolved at max depth")
-    if csv:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--decimal", action="store_true",
-                       help="add a 30-significant-digit decimal column to CSV output")
+# (flag, add_argument keywords): options shared by tower, budget and csv commands
+_TOWER = (("--schedule", dict(required=True, help="path to a schedule JSON file")),
+          ("--depth", dict(type=int, required=True)),
+          ("--out", dict(default="-", help="output path, '-' for stdout")))
+_BUDGET = (("--max-depth", dict(type=int, dest="max_depth")),
+           ("--strict", dict(action="store_true",
+                             help="exit 4 when any entry is unresolved at max depth")))
+_CSV = (("--format", dict(choices=("json", "csv"), default="json")),
+        ("--decimal", dict(action="store_true",
+                           help="add a 30-significant-digit decimal column to CSV output")))
+
+# name: (help, command, options), in --help order
+_COMMANDS = {
+    "build": ("materialize levels and report measures/growth", cmd_build, _TOWER + (
+        ("--growth-threshold", dict(default="1")),)),
+    "concat": ("flatten a fragments schedule into one document", cmd_concat, (
+        ("--schedule", dict(required=True)),
+        ("--out", dict(default="-")))),
+    "scan-mixing": ("correlation decay over [h_n, 2 H_n)", cmd_scan_mixing,
+                    _TOWER + _BUDGET + _CSV + (
+        ("--stages", dict(required=True, help="'a:b' half-open or comma list")),
+        ("--samples", dict(type=int, default=8)),
+        ("--power", dict(type=int, default=1)),
+        ("--tests", dict(default="canonical")))),
+    "weak-limits": ("discrepancy against a weak operator limit", cmd_weak_limits,
+                    _TOWER + _BUDGET + (
+        ("--times", dict(required=True, help="comma list of integer times")),
+        ("--target", dict(required=True,
+                          help='JSON {"j": "alpha_j", ...} for sum_j alpha_j U^-j')),
+        ("--tests", dict(default="canonical")))),
+    "cesaro": ("exact squared norm of a Cesaro average", cmd_cesaro, _TOWER + _BUDGET + (
+        ("--k", dict(type=int, required=True)),
+        ("--l", dict(type=int, required=True)),
+        ("--cylinder", dict(required=True)))),
+    "inequality": ("check the averaging inequality", cmd_inequality, _TOWER + _BUDGET + (
+        ("--R", dict(type=int, required=True)),
+        ("--L", dict(type=int, required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--cylinder", dict(required=True)))),
+    "spectrum": ("autocorrelation sequence of an indicator", cmd_spectrum,
+                 _TOWER + _BUDGET + _CSV + (
+        ("--cylinder", dict(required=True)),
+        ("--max-m", dict(type=int, required=True, dest="max_m")))),
+    "poisson-mult": ("exp-operator multiplicity sets", cmd_poisson_mult, (
+        ("--kind", dict(choices=("symmetric-square", "identity-product"), required=True)),
+        ("--p", dict(type=int, default=2)),
+        ("--n-max", dict(type=int, required=True, dest="n_max")),
+        ("--out", dict(default="-")))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the subcommand named command, or of all eight if it names none."""
     # --help shows the module docstring up to its paragraph on the write path
     usage = (__doc__ or "").partition("\nOne path")[0]
     ap = argparse.ArgumentParser(prog="cfrank", description=usage,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="materialize levels and report measures/growth")
-    _add_common(p, max_depth=False)
-    p.add_argument("--growth-threshold", default="1")
-    p.set_defaults(fn=cmd_build)
-
-    p = sub.add_parser("concat", help="flatten a fragments schedule into one document")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_concat)
-
-    p = sub.add_parser("scan-mixing", help="correlation decay over [h_n, 2 H_n)")
-    _add_common(p, csv=True)
-    p.add_argument("--stages", required=True, help="'a:b' half-open or comma list")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--tests", default="canonical")
-    p.set_defaults(fn=cmd_scan_mixing)
-
-    p = sub.add_parser("weak-limits", help="discrepancy against a weak operator limit")
-    _add_common(p)
-    p.add_argument("--times", required=True, help="comma list of integer times")
-    p.add_argument("--target", required=True,
-                   help='JSON {"j": "alpha_j", ...} for sum_j alpha_j U^-j')
-    p.add_argument("--tests", default="canonical")
-    p.set_defaults(fn=cmd_weak_limits)
-
-    p = sub.add_parser("cesaro", help="exact squared norm of a Cesaro average")
-    _add_common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--cylinder", required=True)
-    p.set_defaults(fn=cmd_cesaro)
-
-    p = sub.add_parser("inequality", help="check the averaging inequality")
-    _add_common(p)
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--cylinder", required=True)
-    p.set_defaults(fn=cmd_inequality)
-
-    p = sub.add_parser("spectrum", help="autocorrelation sequence of an indicator")
-    _add_common(p, csv=True)
-    p.add_argument("--cylinder", required=True)
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("poisson-mult", help="exp-operator multiplicity sets")
-    p.add_argument("--kind", choices=("symmetric-square", "identity-product"),
-                   required=True)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_poisson_mult)
-
+    lean = command in _COMMANDS
+    # usage lists all eight names either way; with all eight built argparse
+    # derives them, and a metavar would rename "command" in its errors
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
+    for name in [command] if lean else _COMMANDS:
+        help_, fn, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -366,7 +360,8 @@ def _run(args) -> bool:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -357,6 +357,23 @@ def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
     return total
 
 
+def _resolve_pair(A: CylinderSet, B: CylinderSet, levels: TowerLevels,
+                  max_depth: int) -> tuple[_DifferenceCounts, int, int, int]:
+    """(kernel, ua, ub - ua, n): the room check, validation (_pair_kernel)
+    and stage n = max(max_depth, B.level) of every correlation of the pair."""
+    _require_room(A, levels, max_depth)
+    kernel, ua, ub = _pair_kernel(A, B, levels)
+    return kernel, ua, ub - ua, max(max_depth, B.level)
+
+
+def _lost(a: _Refinement, ua: int, levels: TowerLevels, n: int, m: int) -> int:
+    """#{x in A^n : x + m outside [0, h_n)}, a the refinement of A - ua; A^n
+    lies in [0, h_n), so only the side m moves toward is left: one rank."""
+    if m >= 0:
+        return a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m - ua)
+    return a.rank(levels, n, -m - ua)
+
+
 def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
                         max_depth: int) -> tuple[int, int, int]:
     """(hits, lost, n): mu(T^m A cap B) in units of one stage-n level.
@@ -365,13 +382,8 @@ def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLev
     hits = E(n, m) counts the pairs (x, y) in A^n x B^n with y = x + m, and
     lost the points of A^n whose image x + m leaves [0, h_n).
     """
-    _require_room(A, levels, max_depth)
-    kernel, ua, ub = _pair_kernel(A, B, levels)
-    a, x = kernel.a, -m - ua  # A's rank at y is A0's rank at y - ua
-    n = max(max_depth, B.level)
-    hits = kernel.count(levels, n, m - (ub - ua))
-    lost = a.size_at(levels, n) - a.rank(levels, n, levels.h[n] + x) + a.rank(levels, n, x)
-    return hits, lost, n
+    kernel, ua, shift, n = _resolve_pair(A, B, levels, max_depth)
+    return kernel.count(levels, n, m - shift), _lost(kernel.a, ua, levels, n, m), n
 
 
 def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

@@ -17,9 +17,10 @@ the shallower cylinder refined to stage k, collisions of T^m A with B are
 
     sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
 
-each R(|d|) counted once per (k, N) by merging S with S + d.  A pair's
-refined points and differences p - q are kept per pair and depth, so a
-call costs only the lag sum and the residual's two binary searches.
+each R(|d|) counted once per (k, N) by merging S + d with S, _CHUNK
+points of S + d at a time.  A pair's refined points and differences p - q
+are kept per pair and depth, so a call costs only the lag sum and the
+residual's binary searches, on the one side that m moves toward.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 numpy is imported only when the oracle is first used, so `import cfrank`
@@ -39,6 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_SAFE = 1 << 60  # keep well inside int64
+_CHUNK = 1 << 16  # points of s + d merged with s at a time
 
 
 class _Lags(dict):
@@ -53,11 +55,15 @@ class _Lags(dict):
 
         s = self.s
         n = int(np.searchsorted(s, self.h - d))  # s + d stays inside the tower
-        merged = np.empty(n + s.size, dtype=np.int64)
-        np.add(s[:n], d, out=merged[:n])
-        merged[n:] = s
-        merged.sort(kind="stable")  # two sorted runs: one merge
-        count = self[d] = int(np.count_nonzero(merged[1:] == merged[:-1]))
+        count = 0
+        for i in range(0, n, _CHUNK):  # each run of s + d against the slice of s it spans
+            j = min(i + _CHUNK, n)
+            lo, hi = (0, s.size) if s.size <= _CHUNK else (  # a short s: merged whole
+                np.searchsorted(s, s[i] + d), np.searchsorted(s, s[j - 1] + d, "right"))
+            merged = np.concatenate((s[i:j] + d, s[lo:hi]))
+            merged.sort(kind="stable")  # two sorted runs: one merge
+            count += int(np.count_nonzero(merged[1:] == merged[:-1]))
+        self[d] = count
         return count
 
 
@@ -135,6 +141,6 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     if abs(m) >= h:  # every point leaves the tower; also keeps m out of int64
         return Enclosure(Fraction(0), Fraction(pa.size * s.size, denom))
     hits = sum(lags[abs(d + m)] for d in diffs)
-    lost = int(np.searchsorted(s, -m - pa).sum()) \
-        + pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum())
+    lost = (pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum()) if m >= 0
+            else int(np.searchsorted(s, -m - pa).sum()))
     return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))

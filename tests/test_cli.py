@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cfrank.errors
-from cfrank.cli import main
+from cfrank.cli import build_parser, main
 from cfrank.errors import DepthExhausted, InvalidSchedule
 
 SCHED = {
@@ -665,3 +665,51 @@ def test_module_entry_point(sched_path, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["h"] == ["1", "9"]
+
+
+# ------------------------------------------------ the lean parser of one call
+
+CYL1 = '{"level": 1, "intervals": [["0", "2"]]}'
+SUBCOMMAND_ARGV = [  # one call per subcommand, most of its options given
+    ["build", "--schedule", "s.json", "--depth", "3", "--growth-threshold", "1/2"],
+    ["concat", "--schedule", "s.json", "--out", "o.json"],
+    ["scan-mixing", "--schedule", "s.json", "--depth", "3", "--max-depth", "5", "--strict",
+     "--format", "csv", "--decimal", "--stages", "1:3", "--samples", "4", "--power", "-2",
+     "--tests", PAIR],
+    ["weak-limits", "--schedule", "s.json", "--depth", "3", "--times", "4,5",
+     "--target", '{"0": "1/3"}'],
+    ["cesaro", "--schedule", "s.json", "--depth", "3", "--k", "2", "--l", "5",
+     "--cylinder", CYL1],
+    ["inequality", "--schedule", "s.json", "--depth", "3", "--max-depth", "6", "--R", "6",
+     "--L", "2", "--r", "2", "--cylinder", CYL1],
+    ["spectrum", "--schedule", "s.json", "--depth", "3", "--format", "json",
+     "--cylinder", CYL1, "--max-m", "7"],
+    ["poisson-mult", "--kind", "identity-product", "--p", "3", "--n-max", "4"],
+]
+ALL_NAMES = "{build,concat,scan-mixing,weak-limits,cesaro,inequality,spectrum,poisson-mult}"
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
+def test_lean_parser_parses_like_the_full_one(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["scan-mixing", "--help"],
+    ["no-such-command"],
+    ["scan-mixing", "--schedule", "s.json", "--depth", "x", "--stages", "1:3"],
+    ["scan-mixing", "--schedule", "s.json", "--depth", "3", "--stages", "1:3", "--bogus"],
+], ids=["none", "help", "command-help", "unknown", "bad-int", "unrecognized"])
+def test_main_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    # both sides run in this interpreter, so argparse wording that differs
+    # between Python versions cannot break the comparison
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert main(argv) == exc.value.code
+    assert capsys.readouterr() == want
+    if argv[-1:] == ["--bogus"]:  # the top-level usage names every subcommand
+        assert ALL_NAMES in want.err

@@ -170,6 +170,55 @@ def test_scan_samples_every_stage_before_counting(levels_r3_zramp, monkeypatch):
         scan_mixing_intervals(levels_r3_zramp, [(pts(0, 0), pts(0, 0))], [1, 2, 5], 4, 1, 4)
 
 
+@pytest.mark.parametrize("bad, max_depth", [
+    ((pts(1, 3), pts(1, 9)), 3),  # B's point 9 lies outside stage 1, [0, 9)
+    ((pts(3, 5), pts(1, 0)), 3),  # the budget 3 leaves no room below A's stage 3
+])
+def test_scan_raises_the_error_of_its_first_bad_pair(levels_r3_zramp, bad, max_depth):
+    # the second pair is the first bad one; the third fails another way
+    lv = levels_r3_zramp
+    tests = [(pts(1, 0), pts(1, 4)), bad, (pts(0, 0), pts(0, 1))]
+    with pytest.raises((ValueError, DepthUnavailable)) as want:
+        correlation_bounds(lv.h[1], *bad, lv, max_depth)
+    with pytest.raises(want.type) as got:
+        scan_mixing_intervals(lv, tests, [1], 4, 1, max_depth)
+    assert str(got.value) == str(want.value)
+    # a stage past the tower is refused before any pair is resolved
+    with pytest.raises(DepthUnavailable, match="level 6 requested"):
+        scan_mixing_intervals(lv, tests, [1, 5], 4, 1, max_depth)
+
+
+@st.composite
+def scan_rows(draw, levels):
+    """(tests, power, max_depth): rows of pairs sharing their A, like a
+    scan-deep item, shuffled together, with a B past the budget."""
+    max_depth = draw(st.sampled_from([2, 3]))
+
+    def cylinder(level):
+        size = levels.h[level]
+        return CylinderSet.from_points(level, draw(st.lists(st.integers(0, size - 1),
+                                                            min_size=1, max_size=3)))
+
+    tests = []
+    for _ in range(draw(st.integers(1, 3))):
+        A = cylinder(draw(st.integers(0, 1)))
+        tests += [(A, cylinder(draw(st.integers(0, 2)))) for _ in range(draw(st.integers(1, 4)))]
+    tests.append((tests[0][0], cylinder(max_depth + 1)))
+    tests = draw(st.permutations(tests))
+    return tests, draw(st.sampled_from([1, -1, 2, -2])), max_depth
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_scan_sups_of_shared_rows_match_pairwise_enclosures(levels_r3_zramp, data):
+    lv = levels_r3_zramp
+    tests, power, max_depth = data.draw(scan_rows(lv))
+    rep = scan_mixing_intervals(lv, tests, [1, 2], 5, power, max_depth)
+    for sd in rep.stages:
+        for m, value in zip(sd.times, sd.values):
+            assert value == pairwise_sup(power * m, tests, lv, max_depth)
+
+
 def test_scan_rejects_zero_power(levels_r3_zramp):
     with pytest.raises(ValueError):
         scan_mixing_intervals(levels_r3_zramp, [], [0], 4, 0, 4)

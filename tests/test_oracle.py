@@ -15,8 +15,10 @@ from cfrank import (
     explicit,
     refine,
 )
+from cfrank import oracle
+from cfrank.cylinders import _lost, _resolve_pair
 from cfrank.errors import DepthExhausted, DepthUnavailable, OffsetOverlap
-from cfrank.oracle import expand_points, oracle_correlation_bounds
+from cfrank.oracle import _base, expand_points, oracle_correlation_bounds
 from cfrank.towers import TowerLevels
 
 
@@ -227,6 +229,42 @@ def test_oracle_pair_entry_ignores_how_the_points_are_given(data):
         for fa, fb in order:
             assert oracle_correlation_bounds(shift, a_level, fa(a_pts), b_level, fb(b_pts),
                                              levels, depth) == want
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_one_sided_residuals_match_a_brute_force_count(data):
+    # A^N lies in [0, h_N), so only one side can be left; every m in
+    # [-h_N - 1, h_N + 1] is checked, 0 and +-(h_N - 1) among them
+    levels = data.draw(oracle_towers())
+    level = data.draw(st.integers(0, levels.depth - 1))
+    pts = data.draw(st.lists(st.integers(0, levels.h[level] - 1), max_size=5))
+    depth = data.draw(st.integers(level + 1, levels.depth))
+    h, denom = levels.h[depth], levels.cuts_product[depth]
+    A = CylinderSet.from_points(level, pts)
+    kernel, ua, _, n = _resolve_pair(A, A, levels, depth)
+    points = expand_points(level, pts, depth, levels)
+    for m in range(-h - 1, h + 2):
+        want = int(np.count_nonzero((points + m < 0) | (points + m >= h)))
+        assert _lost(kernel.a, ua, levels, n, m) == want
+        # with B empty the oracle's enclosure is [0, lost]
+        assert oracle_correlation_bounds(m, level, pts, level, [], levels, depth) \
+            == (0, Fraction(want, denom))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@settings(max_examples=25)
+@given(st.data())
+def test_lag_counts_match_set_intersections_in_any_chunk(chunk, data):
+    levels = data.draw(oracle_towers())
+    k = data.draw(st.integers(0, levels.depth))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(oracle, "_CHUNK", chunk)
+        lags = _base(levels, k, levels.depth)
+        s = set(lags.s.tolist())
+        for d in range(levels.h[levels.depth] + 1):
+            assert lags[d] == len(s & {x + d for x in s})
 
 
 def test_expand_points_rejects_overlapping_copies(sched_r3z1):
