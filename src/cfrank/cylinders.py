@@ -21,7 +21,10 @@ caller builds a Fraction.  Refinement adds offsets, so
 translation class (both cylinders moved down to start at level 0) read at
 m minus the distance between their lowest levels: one memo per class.
 Either way what is still unresolved at the max depth is reported as an
-explicit residual measure, never silently dropped.
+explicit residual measure, never silently dropped.  A pair is resolved
+once per tower (_resolve_pair); a single-time correlation then pays a room
+check, one kernel read, a residual that is 0 at once when A^n + m stays in
+[0, h_n) (one rank query otherwise) and two reads of interned fractions.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class CylinderSet:
     levels_set: IntervalSet
 
     def __hash__(self) -> int:
-        """The generated dataclass hash, computed once (see IntervalSet.__hash__)."""
+        """The generated dataclass hash, computed once and kept outside the fields."""
         try:
             return self._hash
         except AttributeError:
@@ -236,7 +239,7 @@ class _DifferenceCounts:
     """E(n, t) = #{(x, y) in A^n x B^n : y - x = t} for one translation class.
 
     A and B are the class representatives, each starting at level 0; a
-    pair (A + ua, B + ub) reads E(n, t - (ub - ua)) (see _pair_kernel).
+    pair (A + ua, B + ub) reads E(n, t - (ub - ua)) (see _ResolvedPair).
 
     A^{n+1} = A^n + C_n as a disjoint union, so
 
@@ -257,7 +260,7 @@ class _DifferenceCounts:
     keyed by t, serves every correlation of every pair in the class.
     """
 
-    __slots__ = ("a", "b", "base", "tables", "reach", "memo")
+    __slots__ = ("a", "b", "base", "tables", "tops", "reach", "memo")
 
     def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         self.a = _Refinement(A)
@@ -266,14 +269,16 @@ class _DifferenceCounts:
         depth = levels.depth
         self.tables = [_difference_table(levels, n) if n >= base else None
                        for n in range(depth)]
+        top_a, top_b = (list(accumulate((levels.offsets[j][-1] for j in range(c.level, depth)),
+                                        initial=c.levels_set.max() if c.levels_set else 0))
+                        for c in (A, B))  # top_x[n - X.level] = top(X^n)
+        # tops[n] = top(A^n) for the residual, apart from the reach, which is
+        # empty when B is; an empty A loses nothing at any stand-in top
+        self.tops = [0] * A.level + top_a
         # reach[n] = (-top(A^n), top(B^n)); (1, 0) is the empty window, kept
         # below the base stage and for an empty side
         self.reach = [(1, 0)] * (depth + 1)
-        if A.levels_set and B.levels_set:  # top_x[n - X.level] = top(X^n)
-            top_a, top_b = (list(accumulate((levels.offsets[j][-1]
-                                             for j in range(c.level, depth)),
-                                            initial=c.levels_set.max()))
-                            for c in (A, B))
+        if A.levels_set and B.levels_set:
             for n in range(base, depth + 1):
                 self.reach[n] = (-top_a[n - A.level], top_b[n - B.level])
         self.memo: list[dict[int, int]] = [{} for _ in range(depth + 1)]
@@ -304,38 +309,6 @@ class _DifferenceCounts:
         return total
 
 
-def _pair_kernel(A: CylinderSet, B: CylinderSet,
-                 levels: TowerLevels) -> tuple[_DifferenceCounts, int, int]:
-    """The pair's class kernel and the lowest levels ua, ub of A and B.
-
-    With A0 = A - ua and B0 = B - ub,
-
-        E_{A,B}(n, t) = E_{A0,B0}(n, t - (ub - ua)),
-
-    so every pair with the same stages and interval shapes shares one
-    kernel, kept on the tower as ("diff", A0, B0); it depends on neither m
-    nor the depth budget.  The residual needs A's ranks, which are the
-    kernel's A0 ranks read at x - ua, since A^N = A0^N + ua.
-    ("pair", A, B) maps the pair to (kernel, ua, ub).
-    Both cylinders are validated here, once per pair entry: the tower is
-    immutable and nothing is cached for a pair that fails.
-    """
-    pair_key = ("pair", A, B)
-    hit = levels._cache.get(pair_key)
-    if hit is None:
-        A.validate(levels)
-        B.validate(levels)
-        ua, ub = (c.levels_set.min() if c.levels_set else 0 for c in (A, B))
-        A0 = CylinderSet(A.level, A.levels_set.shift(-ua))
-        B0 = CylinderSet(B.level, B.levels_set.shift(-ub))
-        class_key = ("diff", A0, B0)
-        kernel = levels._cache.get(class_key)
-        if kernel is None:
-            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
-        hit = levels._cache[pair_key] = (kernel, ua, ub)
-    return hit
-
-
 def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
                       levels: TowerLevels) -> Fraction:
     """Exact measure of the intersection with cylinder b.
@@ -357,21 +330,53 @@ def intersect_measure(a: PieceDecomposition | CylinderSet, b: CylinderSet,
     return total
 
 
+class _ResolvedPair:
+    """A pair (A, B) resolved once for every correlation of it.
+
+    With A0 = A - ua, B0 = B - ub and shift = ub - ua, E_{A,B}(n, t) =
+    E_{A0,B0}(n, t - shift), so every pair with the same stages and
+    interval shapes shares one kernel, kept on the tower as ("diff", A0,
+    B0); it depends on neither m nor the depth budget.  The residual reads
+    the kernel's A0 ranks at x - ua, since A^N = A0^N + ua, and its tops.
+    Both cylinders are validated here, once per pair: the tower is
+    immutable and nothing is cached for a pair that fails.
+    """
+
+    __slots__ = ("kernel", "ua", "shift", "tops")
+
+    def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
+        A.validate(levels)
+        B.validate(levels)
+        ua, ub = (c.levels_set.min() if c.levels_set else 0 for c in (A, B))
+        A0, B0 = (CylinderSet(c.level, c.levels_set.shift(-u)) for c, u in ((A, ua), (B, ub)))
+        class_key = ("diff", A0, B0)
+        kernel = levels._cache.get(class_key)
+        if kernel is None:
+            kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
+        self.kernel, self.ua, self.shift, self.tops = kernel, ua, ub - ua, kernel.tops
+
+    def lost(self, levels: TowerLevels, n: int, m: int) -> int:
+        """#{x in A^n : x + m outside [0, h_n)}.  A^n lies in [ua, h_n), so
+        only the side m moves toward is left: 0 when A^n + m stays on it,
+        else one rank."""
+        a, ua = self.kernel.a, self.ua
+        if m >= 0:
+            x = levels.h[n] - m - ua  # the points of A0^n from x on leave
+            return 0 if self.tops[n] < x else a.size_at(levels, n) - a.rank(levels, n, x)
+        return 0 if ua + m >= 0 else a.rank(levels, n, -m - ua)
+
+
 def _resolve_pair(A: CylinderSet, B: CylinderSet, levels: TowerLevels,
-                  max_depth: int) -> tuple[_DifferenceCounts, int, int, int]:
-    """(kernel, ua, ub - ua, n): the room check, validation (_pair_kernel)
-    and stage n = max(max_depth, B.level) of every correlation of the pair."""
-    _require_room(A, levels, max_depth)
-    kernel, ua, ub = _pair_kernel(A, B, levels)
-    return kernel, ua, ub - ua, max(max_depth, B.level)
-
-
-def _lost(a: _Refinement, ua: int, levels: TowerLevels, n: int, m: int) -> int:
-    """#{x in A^n : x + m outside [0, h_n)}, a the refinement of A - ua; A^n
-    lies in [0, h_n), so only the side m moves toward is left: one rank."""
-    if m >= 0:
-        return a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m - ua)
-    return a.rank(levels, n, -m - ua)
+                  max_depth: int) -> _ResolvedPair:
+    """The room check for A at max_depth, then the pair's handle, built on
+    first use and kept on the tower as ("pair", A, B)."""
+    if not 0 <= max_depth <= levels.depth or max_depth <= A.level:
+        _require_room(A, levels, max_depth)
+    key = ("pair", A, B)
+    pair = levels._cache.get(key)
+    if pair is None:
+        pair = levels._cache[key] = _ResolvedPair(A, B, levels)
+    return pair
 
 
 def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
@@ -382,8 +387,9 @@ def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLev
     hits = E(n, m) counts the pairs (x, y) in A^n x B^n with y = x + m, and
     lost the points of A^n whose image x + m leaves [0, h_n).
     """
-    kernel, ua, shift, n = _resolve_pair(A, B, levels, max_depth)
-    return kernel.count(levels, n, m - shift), _lost(kernel.a, ua, levels, n, m), n
+    pair = _resolve_pair(A, B, levels, max_depth)
+    n = max(max_depth, B.level)
+    return pair.kernel.count(levels, n, m - pair.shift), pair.lost(levels, n, m), n
 
 
 def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
@@ -397,12 +403,12 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     E(n, m)); the upper end adds the residual, the points of A^n whose
     image x + m leaves [0, h_n).  The result equals
     intersect_measure(apply_power(m, A, ..., n), B, ...) plus that
-    decomposition's residual.
+    decomposition's residual.  Its ends are interned (TowerLevels.level_fractions).
     """
     hits, lost, n = _correlation_counts(m, A, B, levels, max_depth)
-    q = levels.cuts_product[n]
-    lower = Fraction(hits, q)
-    return Enclosure(lower, Fraction(hits + lost, q) if lost else lower)
+    ends = levels.level_fractions(n)
+    lower = ends[hits]
+    return Enclosure(lower, ends[hits + lost] if lost else lower)
 
 
 def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

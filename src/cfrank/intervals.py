@@ -36,17 +36,6 @@ class IntervalSet:
 
     intervals: tuple[tuple[int, int], ...] = ()
 
-    def __hash__(self) -> int:
-        """The generated dataclass hash, computed once: memo keys rehash a set
-        on every lookup.  It is kept on the instance, outside the fields, so
-        it joins neither ==, repr nor dataclasses.replace."""
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.intervals,))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "IntervalSet":
         return IntervalSet(_normalize(pairs))

@@ -17,7 +17,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .cylinders import (
     CylinderSet,
     _correlation_counts,
-    _lost,
     _resolve_pair,
     apply_power,
     correlation,
@@ -130,10 +129,10 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     become honest [lower, upper] intervals instead of failing the scan.
     Every stage's times are sampled before any pair is resolved, so a stage
     past the tower or past MAX_SAMPLE_TIMES fails first.  Pairs are resolved
-    once, in test-set order (_resolve_pair); residuals are counted once per
-    (A, n) and time.  Each sup is taken on the integer counts of
-    _correlation_counts scaled to one level of the deepest stage counted;
-    only the two ends become Fractions.
+    once, in test-set order, to their handles (_resolve_pair); residuals
+    are counted once per (A, n) and time.  Each sup is taken on the
+    integer counts of _correlation_counts scaled to one level of the
+    deepest stage counted; only the two ends become Fractions.
     """
     if power == 0:
         raise ValueError("power must be non-zero")
@@ -143,21 +142,22 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     cuts = levels.cuts_product
     samples = [(stage, stratified_times(levels, stage, samples_per_stage))
                for stage in stages]
-    resolved = [_resolve_pair(A, B, levels, max_depth) for A, B in test_sets] if samples else []
-    q = cuts[max((n for *_, n in resolved), default=0)]
+    resolved = [(_resolve_pair(A, B, levels, max_depth), max(max_depth, B.level))
+                for A, B in test_sets] if samples else []
+    q = cuts[max((n for _, n in resolved), default=0)]
     slots: dict[tuple[CylinderSet, int], int] = {}  # (A, n) -> its index in residuals
     residuals, pairs = [], []
-    for (A, _), (kernel, ua, shift, n) in zip(test_sets, resolved):
+    for (A, _), (pair, n) in zip(test_sets, resolved):
         if (A, n) not in slots:
             slots[A, n] = len(residuals)
-            residuals.append((kernel.a, ua, n))
-        pairs.append((kernel, shift, n, q // cuts[n], slots[A, n]))
+            residuals.append((pair, n))
+        pairs.append((pair.kernel, pair.shift, n, q // cuts[n], slots[A, n]))
     records = []
     for stage, times in samples:
         values = []
         for m in times:
             t = power * m
-            lost = [_lost(a, ua, levels, n, t) for a, ua, n in residuals]
+            lost = [pair.lost(levels, n, t) for pair, n in residuals]
             lower = upper = 0
             for kernel, shift, n, scale, slot in pairs:
                 hits = kernel.count(levels, n, t - shift) * scale

@@ -18,9 +18,9 @@ the shallower cylinder refined to stage k, collisions of T^m A with B are
     sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
 
 each R(|d|) counted once per (k, N) by merging S + d with S, _CHUNK
-points of S + d at a time.  A pair's refined points and differences p - q
-are kept per pair and depth, so a call costs only the lag sum and the
-residual's binary searches, on the one side that m moves toward.
+points of S + d at a time.  A pair keeps its refined points and distinct
+differences p - q with multiplicities, so a call costs one lag read per
+difference, two searches for the residual (_kept) and interned ends.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 numpy is imported only when the oracle is first used, so `import cfrank`
@@ -30,7 +30,8 @@ it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_left
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .errors import DepthUnavailable, Enclosure, OffsetOverlap
@@ -110,6 +111,16 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     return (s[:, None] + np.asarray(pts, dtype=np.int64)[None, :]).ravel()
 
 
+def _kept(s: np.ndarray, pa: list[int], x: int) -> int:
+    """#{(v, p) in S x A_k : v + p < x}.  S has gaps >= h_k (_base checks) and A_k
+    lies sorted in [0, h_k): each v below x - max(A_k) keeps all of A_k, the
+    next keeps the p below x - v, and every later v lies past x."""
+    if not pa:
+        return 0
+    j = int(s.searchsorted(x - pa[-1]))
+    return len(pa) * j + (bisect_left(pa, x - int(s[j])) if j < s.size else 0)
+
+
 def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_points,
                               levels: TowerLevels, depth: int) -> Enclosure:
     """mu(T^m A cap B) by counting point collisions at one fixed depth.
@@ -118,29 +129,30 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     same [lower, upper] enclosure the main path reports at that depth.
 
     ("oracle-pair", a_level, a_pts, b_level, b_pts, depth) keeps one pair
-    on the tower: A's points refined to stage k = max(a_level, b_level)
-    (|A_k| int64), the |A_k| * |B_k| differences p - q as Python ints, and
-    the (k, depth) lag counts it shares with the ("oracle", k, depth)
-    entry.  Its points are validated once, when it is built.
+    on the tower: A's points refined to stage k = max(a_level, b_level),
+    sorted, the distinct differences p - q with multiplicities, the (k,
+    depth) lag counts of the ("oracle", k, depth) entry and the interned
+    ends.  Its points are validated once, when it is built.
     """
-    import numpy as np
-
     a_pts, b_pts = tuple(a_points), tuple(b_points)
     key = ("oracle-pair", a_level, a_pts, b_level, b_pts, depth)
     entry = levels._cache.get(key)
     if entry is None:
         k = max(a_level, b_level)
-        pa = expand_points(a_level, a_pts, k, levels)
-        pb = expand_points(b_level, b_pts, k, levels)
-        diffs = (pa[:, None] - pb[None, :]).ravel().tolist()
-        entry = levels._cache[key] = (pa, diffs, _base(levels, k, depth))
-    pa, diffs, lags = entry
+        pa = expand_points(a_level, a_pts, k, levels).tolist()
+        pb = expand_points(b_level, b_pts, k, levels).tolist()
+        diffs = list(Counter(p - q for p in pa for q in pb).items())
+        entry = levels._cache[key] = (pa, diffs, _base(levels, k, depth),
+                                      levels.level_fractions(depth))
+    pa, diffs, lags, ends = entry
     s, h = lags.s, lags.h
-    denom = levels.cuts_product[depth]
+    size = len(pa) * s.size
     m = int(m)
     if abs(m) >= h:  # every point leaves the tower; also keeps m out of int64
-        return Enclosure(Fraction(0), Fraction(pa.size * s.size, denom))
-    hits = sum(lags[abs(d + m)] for d in diffs)
-    lost = (pa.size * s.size - int(np.searchsorted(s, h - m - pa).sum()) if m >= 0
-            else int(np.searchsorted(s, -m - pa).sum()))
-    return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))
+        return Enclosure(ends[0], ends[size])
+    hits = 0
+    for d, c in diffs:
+        hits += c * lags[abs(d + m)]
+    lost = size - _kept(s, pa, h - m) if m >= 0 else _kept(s, pa, -m)
+    lower = ends[hits]
+    return Enclosure(lower, ends[hits + lost] if lost else lower)

@@ -28,6 +28,18 @@ from .schedule import Schedule
 MAX_TOWER_BITS = 1 << 26
 
 
+class _LevelFractions(dict):
+    """k -> Fraction(k, q) for one denominator q, interned on first read."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, k: int) -> Fraction:
+        value = self[k] = Fraction(k, self.q)
+        return value
+
+
 class TowerLevels:
     """Immutable per-stage data: heights h_n, H_n = h_n + z_n, offset sets C_n.
 
@@ -36,16 +48,17 @@ class TowerLevels:
     level of the initial tower has measure 1 (so mu(X_0) = h_0).
 
     Construction data never changes after build.  The private _cache only
-    memoizes pure results, keyed by tuples whose layout the function that
-    builds each entry documents (_difference_table, _pair_kernel,
-    _cesaro_series, _base, oracle_correlation_bounds).  A class kernel
+    memoizes pure results, filled on first use and keyed by tuples whose
+    layout the function that builds each entry documents: ("pair", A, B)
+    a resolved-pair handle (_resolve_pair), ("fractions", n) the interned
+    ends k / cuts_product[n] (level_fractions), and _difference_table,
+    _cesaro_series, _base and oracle_correlation_bounds.  A class kernel
     holds the list of per-stage difference tables it reads and one memo
     dict per stage, keyed by the shifts inside its reach window
     -top(A^n) <= t <= top(B^n), so shifts whose count is zero for want of
     overlap take no entry.  Finished correlations are not memoized.  No
     entry is bounded; all live as long as the TowerLevels.  A cylinder in
-    a key hashes once: CylinderSet and IntervalSet keep their hash after
-    the first lookup.
+    a key hashes once: CylinderSet keeps its hash after the first lookup.
     """
 
     __slots__ = ("schedule", "depth", "h", "bigH", "offsets", "cuts_product",
@@ -75,6 +88,13 @@ class TowerLevels:
         """Measure of one tower level at the given stage."""
         self.require_depth(level)
         return Fraction(1, self.cuts_product[level])
+
+    def level_fractions(self, n: int) -> dict[int, Fraction]:
+        """k -> Fraction(k, cuts_product[n]), each built on first read."""
+        fractions = self._cache.get(("fractions", n))
+        if fractions is None:
+            fractions = self._cache["fractions", n] = _LevelFractions(self.cuts_product[n])
+        return fractions
 
     def __repr__(self):
         return f"TowerLevels({self.schedule.name!r}, depth={self.depth})"

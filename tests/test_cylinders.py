@@ -22,7 +22,7 @@ from cfrank import (
     product_correlation,
     refine,
 )
-from cfrank.cylinders import _difference_table, _pair_kernel
+from cfrank.cylinders import _difference_table, _ResolvedPair
 from cfrank.errors import DepthExhausted, DepthUnavailable
 from cfrank.intervals import IntervalSet
 from cfrank.oracle import oracle_correlation_bounds
@@ -310,6 +310,37 @@ def test_kernel_matches_piece_decomposition(case):
                 == (value, value + dec.residual)
 
 
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from(["both", "empty A", "empty B", "B past the budget"]))
+def test_every_shift_matches_the_decomposition(data, kind):
+    # the resolved pair's residual shortcut and the interned ends, at every
+    # m of [-h_n, h_n]: an empty B has an empty kernel reach, while A can
+    # still leave the tower
+    levels = data.draw(small_towers(st.integers(2, 3)))
+
+    def cylinder(level, empty):
+        h = levels.h[level]
+        spans = data.draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(1, h)),
+                                   min_size=0 if empty else 1, max_size=0 if empty else 2))
+        return CylinderSet.from_pairs(level, [(a, min(h, a + w)) for a, w in spans])
+
+    A = cylinder(data.draw(st.integers(0, levels.depth - 2)), kind == "empty A")
+    max_depth = data.draw(st.integers(A.level + 1, levels.depth - (kind == "B past the budget")))
+    b_level = data.draw(st.integers(max_depth + 1, levels.depth) if kind == "B past the budget"
+                        else st.integers(0, levels.depth))
+    B = cylinder(b_level, kind == "empty B")
+    n = max(max_depth, B.level)
+    ends, q = levels.level_fractions(n), levels.cuts_product[n]
+    for m in range(-levels.h[n], levels.h[n] + 1):
+        dec = apply_power(m, A, levels, n)
+        value = intersect_measure(dec, B, levels)
+        got = correlation_bounds(m, A, B, levels, max_depth)
+        assert got == (value, value + dec.residual), m
+        for end in got:
+            k = end * q
+            assert k.denominator == 1 and end is ends[int(k)] == Fraction(int(k), q)
+
+
 @settings(max_examples=100)
 @given(kernel_cases())
 def test_enclosure_contains_oracle_one_stage_deeper(case):
@@ -426,7 +457,7 @@ def test_kernel_with_repeated_differences():
     two_points = [pts(1, 0, 3), pts(1, 0, 7), pts(2, 0, 25)]
     for A in singletons + two_points:
         for B in singletons + two_points:
-            kernel, _, _ = _pair_kernel(A, B, lv)
+            kernel = _ResolvedPair(A, B, lv).kernel
             for n in range(max(A.level, B.level, 1), lv.depth + 1):
                 xs = set(refine(A, n, lv).levels_set.points())
                 ys = set(refine(B, n, lv).levels_set.points())
@@ -450,7 +481,8 @@ def test_kernel_counts_inside_and_past_the_reach(data):
         return CylinderSet.from_pairs(level, [(a, min(h, a + w)) for a, w in spans])
 
     A, B = cylinder(), cylinder()
-    kernel, ua, ub = _pair_kernel(A, B, levels)
+    pair = _ResolvedPair(A, B, levels)
+    kernel, ua, ub = pair.kernel, pair.ua, pair.ua + pair.shift
     A0, B0 = (CylinderSet(c.level, c.levels_set.shift(-u)) for c, u in ((A, ua), (B, ub)))
     for n in range(max(A.level, B.level), levels.depth + 1):
         xs = list(refine(A0, n, levels).levels_set.points())

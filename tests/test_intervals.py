@@ -81,16 +81,16 @@ def test_subset_and_within(xs, lo, width):
 
 
 @given(points, st.integers(-40, 40))
-def test_hash_is_the_dataclass_hash_kept_per_instance(ps, k):
-    """hash(s) is the generated dataclass value hash((intervals,)), computed
-    once and kept on the instance: equal sets hash equal whatever their
-    route, derived sets and copies hash by their own value, and the kept
-    hash is neither a field nor part of repr or ==."""
+def test_hash_is_the_generated_dataclass_hash(ps, k):
+    """hash(s) is the generated dataclass value hash((intervals,)), kept
+    nowhere: equal sets hash equal whatever their route, derived sets and
+    copies hash by their own value, and the set holds no state beyond its
+    one field."""
     s = IntervalSet.from_points(ps)
     want = hash((s.intervals,))
     assert hash(s) == want
     memo = {s: "s"}
-    assert hash(s) == want
+    assert hash(s) == want and vars(s) == {"intervals": s.intervals}
     for twin in (IntervalSet.from_pairs((p, p + 1) for p in ps), s.shift(k).shift(-k),
                  IntervalSet(s.intervals)):
         assert twin == s and hash(twin) == want and memo[twin] == "s"

@@ -163,9 +163,9 @@ def test_scan_integer_sups_match_pairwise_enclosures(levels_r3_zramp, case, powe
 
 def test_scan_samples_every_stage_before_counting(levels_r3_zramp, monkeypatch):
     def never(*args):
-        raise AssertionError("counted before every stage was sampled")
+        raise AssertionError("a pair was resolved before every stage was sampled")
 
-    monkeypatch.setattr("cfrank.mixing._correlation_counts", never)
+    monkeypatch.setattr("cfrank.mixing._resolve_pair", never)
     with pytest.raises(DepthUnavailable, match="level 6 requested"):
         scan_mixing_intervals(levels_r3_zramp, [(pts(0, 0), pts(0, 0))], [1, 2, 5], 4, 1, 4)
 

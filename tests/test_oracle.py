@@ -16,7 +16,7 @@ from cfrank import (
     refine,
 )
 from cfrank import oracle
-from cfrank.cylinders import _lost, _resolve_pair
+from cfrank.cylinders import _resolve_pair
 from cfrank.errors import DepthExhausted, DepthUnavailable, OffsetOverlap
 from cfrank.oracle import _base, expand_points, oracle_correlation_bounds
 from cfrank.towers import TowerLevels
@@ -242,14 +242,31 @@ def test_one_sided_residuals_match_a_brute_force_count(data):
     depth = data.draw(st.integers(level + 1, levels.depth))
     h, denom = levels.h[depth], levels.cuts_product[depth]
     A = CylinderSet.from_points(level, pts)
-    kernel, ua, _, n = _resolve_pair(A, A, levels, depth)
+    pair = _resolve_pair(A, A, levels, depth)
     points = expand_points(level, pts, depth, levels)
     for m in range(-h - 1, h + 2):
         want = int(np.count_nonzero((points + m < 0) | (points + m >= h)))
-        assert _lost(kernel.a, ua, levels, n, m) == want
+        assert pair.lost(levels, depth, m) == want
         # with B empty the oracle's enclosure is [0, lost]
         assert oracle_correlation_bounds(m, level, pts, level, [], levels, depth) \
             == (0, Fraction(want, denom))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_one_search_residual_matches_per_point_searches(data):
+    # #{(v, p) : v + p < x} over S x A_k by one search in S, against one
+    # numpy search per point p; an empty A_k counts nothing
+    levels = data.draw(oracle_towers())
+    k = data.draw(st.integers(0, levels.depth))
+    depth = data.draw(st.integers(k, levels.depth))
+    pa = sorted(data.draw(st.sets(st.integers(0, levels.h[k] - 1), max_size=4)))
+    s, h = _base(levels, k, depth).s, levels.h[depth]
+    for x in range(-1, h + 2):
+        want = int(np.searchsorted(s, x - np.asarray(pa, dtype=np.int64)).sum())
+        assert oracle._kept(s, pa, x) == want, x
+    for m in range(-h, h + 1):
+        assert oracle_correlation_bounds(m, k, [], k, pa, levels, depth) == (0, 0)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, None])
