@@ -23,8 +23,9 @@ m minus the distance between their lowest levels: one memo per class.
 Either way what is still unresolved at the max depth is reported as an
 explicit residual measure, never silently dropped.  A pair is resolved
 once per tower (_resolve_pair); a single-time correlation then pays a room
-check, one kernel read, a residual that is 0 at once when A^n + m stays in
-[0, h_n) (one rank query otherwise) and two reads of interned fractions.
+check, one kernel read at the shallowest stage where A + m does not spill
+(one bisect; else a read and a rank query at n) and two reads of interned
+fractions.  A class of equal representatives memoizes E(n, t) by |t|.
 """
 
 from __future__ import annotations
@@ -257,10 +258,11 @@ class _DifferenceCounts:
     The recursion stops at the deeper of the two cylinder stages with the
     exact cross count; an empty cylinder has an empty reach and counts 0.
     E does not depend on m or on the depth budget, so one memo per stage,
-    keyed by t, serves every correlation of every pair in the class.
+    keyed by t, serves every correlation of every pair in the class.  When
+    A == B (fold), E(n, -t) = E(n, t) over a symmetric reach: keyed by |t|.
     """
 
-    __slots__ = ("a", "b", "base", "tables", "tops", "reach", "memo")
+    __slots__ = ("a", "b", "base", "tables", "gaps", "fold", "reach", "memo")
 
     def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         self.a = _Refinement(A)
@@ -272,18 +274,22 @@ class _DifferenceCounts:
         top_a, top_b = (list(accumulate((levels.offsets[j][-1] for j in range(c.level, depth)),
                                         initial=c.levels_set.max() if c.levels_set else 0))
                         for c in (A, B))  # top_x[n - X.level] = top(X^n)
-        # tops[n] = top(A^n) for the residual, apart from the reach, which is
-        # empty when B is; an empty A loses nothing at any stand-in top
-        self.tops = [0] * A.level + top_a
+        # gaps[n] = h_n - top(A^n), non-decreasing from A's stage on: A^n + u
+        # stays below h_n iff u < gaps[n].  Kept apart from the reach (empty
+        # when B is); an empty A, which loses nothing, has the stand-in top 0
+        self.gaps = [h - top for h, top in zip(levels.h, [0] * A.level + top_a)]
         # reach[n] = (-top(A^n), top(B^n)); (1, 0) is the empty window, kept
         # below the base stage and for an empty side
         self.reach = [(1, 0)] * (depth + 1)
         if A.levels_set and B.levels_set:
             for n in range(base, depth + 1):
                 self.reach[n] = (-top_a[n - A.level], top_b[n - B.level])
+        self.fold = A == B
         self.memo: list[dict[int, int]] = [{} for _ in range(depth + 1)]
 
     def count(self, levels: TowerLevels, n: int, t: int) -> int:
+        if t < 0 and self.fold:
+            t = -t
         lo, hi = self.reach[n]
         if not lo <= t <= hi:
             return 0
@@ -300,9 +306,12 @@ class _DifferenceCounts:
             deltas, mults = self.tables[child]
             lo, hi = self.reach[child]
             memo = self.memo[child]
+            fold = self.fold
             total = 0
             for i in range(bisect_left(deltas, t - hi), bisect_right(deltas, t - lo)):
                 u = t - deltas[i]
+                if u < 0 and fold:
+                    u = -u
                 e = memo.get(u)
                 total += mults[i] * (self._count(levels, child, u) if e is None else e)
         self.memo[n][t] = total
@@ -337,12 +346,12 @@ class _ResolvedPair:
     E_{A0,B0}(n, t - shift), so every pair with the same stages and
     interval shapes shares one kernel, kept on the tower as ("diff", A0,
     B0); it depends on neither m nor the depth budget.  The residual reads
-    the kernel's A0 ranks at x - ua, since A^N = A0^N + ua, and its tops.
+    the kernel's A0 ranks at x - ua, since A^N = A0^N + ua, and its gaps.
     Both cylinders are validated here, once per pair: the tower is
     immutable and nothing is cached for a pair that fails.
     """
 
-    __slots__ = ("kernel", "ua", "shift", "tops")
+    __slots__ = ("kernel", "ua", "shift", "gaps")
 
     def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         A.validate(levels)
@@ -353,7 +362,7 @@ class _ResolvedPair:
         kernel = levels._cache.get(class_key)
         if kernel is None:
             kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
-        self.kernel, self.ua, self.shift, self.tops = kernel, ua, ub - ua, kernel.tops
+        self.kernel, self.ua, self.shift, self.gaps = kernel, ua, ub - ua, kernel.gaps
 
     def lost(self, levels: TowerLevels, n: int, m: int) -> int:
         """#{x in A^n : x + m outside [0, h_n)}.  A^n lies in [ua, h_n), so
@@ -362,8 +371,22 @@ class _ResolvedPair:
         a, ua = self.kernel.a, self.ua
         if m >= 0:
             x = levels.h[n] - m - ua  # the points of A0^n from x on leave
-            return 0 if self.tops[n] < x else a.size_at(levels, n) - a.rank(levels, n, x)
+            return 0 if m + ua < self.gaps[n] else a.size_at(levels, n) - a.rank(levels, n, x)
         return 0 if ua + m >= 0 else a.rank(levels, n, -m - ua)
+
+    def counts(self, levels: TowerLevels, n: int, m: int) -> tuple[int, int]:
+        """(hits, lost) at stage n.  If A^s + m stays in [0, h_s) at a stage s
+        in [base, n], T^m A = [A^s + m]_s (the third identity): nothing is
+        lost and hits = E(s, m - shift) scaled to stage n.  The first such s
+        is the first with m + ua < gaps[s] for m >= 0, the base when
+        ua + m >= 0 for m < 0; past n, hits and lost are counted at n."""
+        kernel, ua = self.kernel, self.ua
+        s = (bisect_right(self.gaps, m + ua, kernel.base, n + 1) if m >= 0
+             else kernel.base if ua + m >= 0 else n + 1)
+        if s > n:
+            return kernel.count(levels, n, m - self.shift), self.lost(levels, n, m)
+        cuts = levels.cuts_product
+        return kernel.count(levels, s, m - self.shift) * (cuts[n] // cuts[s]), 0
 
 
 def _resolve_pair(A: CylinderSet, B: CylinderSet, levels: TowerLevels,
@@ -383,13 +406,13 @@ def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLev
                         max_depth: int) -> tuple[int, int, int]:
     """(hits, lost, n): mu(T^m A cap B) in units of one stage-n level.
 
-    n = max(max_depth, B.level) is the one stage everything is counted at;
+    n = max(max_depth, B.level) is the one stage everything is counted in
+    (_ResolvedPair.counts reads a shallower stage when nothing spills there);
     hits = E(n, m) counts the pairs (x, y) in A^n x B^n with y = x + m, and
     lost the points of A^n whose image x + m leaves [0, h_n).
     """
-    pair = _resolve_pair(A, B, levels, max_depth)
     n = max(max_depth, B.level)
-    return pair.kernel.count(levels, n, m - pair.shift), pair.lost(levels, n, m), n
+    return (*_resolve_pair(A, B, levels, max_depth).counts(levels, n, m), n)
 
 
 def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

@@ -29,6 +29,7 @@ from .towers import TowerLevels
 Pair = tuple[CylinderSet, CylinderSet]
 
 SQRT_BITS = 64  # every square-root enclosure is at most 2**-SQRT_BITS wide
+COARSE_BITS = 30  # the averaging verdict first reads root ends rounded to 2**-COARSE_BITS
 MAX_SAMPLE_TIMES = 1 << 20  # the most times stratified_times builds for one stage
 
 
@@ -181,8 +182,8 @@ class _CesaroSeries:
     order (see cesaro_norm), so the first unresolved c_p raises the
     DepthExhausted that correlation raises, for every longer average, and
     leaves the shorter ones intact.  roots[l] holds the length-l norm, its
-    square-root enclosure and that enclosure's ends lo/d, hi/d as integers
-    (lo, hi, d).
+    square-root enclosure, that enclosure's ends lo/d, hi/d as integers
+    (lo, hi, d), and lo_c, hi_c: the ends rounded outward to 2**-COARSE_BITS.
     """
 
     __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
@@ -191,7 +192,7 @@ class _CesaroSeries:
         self.k, self.B, self.max_depth = k, B, max_depth
         self.s0 = self.s1 = 0
         self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
-        self.roots: dict[int, tuple[Fraction, Enclosure, int, int, int]] = {}
+        self.roots: dict[int, tuple[Fraction, Enclosure, int, int, int, int, int]] = {}
 
     def norm(self, levels: TowerLevels, l: int) -> Fraction:
         B = self.B
@@ -209,26 +210,31 @@ class _CesaroSeries:
                                        l_new * l_new * q))
         return self.norms[l - 1]
 
-    def root(self, levels: TowerLevels, l: int) -> tuple[Fraction, Enclosure, int, int, int]:
-        """(norm, its root enclosure, lo, hi, d) of length l, from one lookup."""
+    def root(self, levels: TowerLevels,
+             l: int) -> tuple[Fraction, Enclosure, int, int, int, int, int]:
+        """(norm, its root enclosure, lo, hi, d, lo_c, hi_c) of length l, from one lookup."""
         hit = self.roots.get(l)
         if hit is None:
             norm = self.norm(levels, l)
             lo, hi, d = _sqrt_ends(norm)
             hit = self.roots[l] = (norm, Enclosure(Fraction(lo, d), Fraction(hi, d)),
-                                   lo, hi, d)
+                                   lo, hi, d, (lo << COARSE_BITS) // d,
+                                   -((-hi << COARSE_BITS) // d))
         return hit
 
 
 def _cesaro_series(k: int, B: CylinderSet, levels: TowerLevels,
                    max_depth: int) -> _CesaroSeries:
-    """The series of (k, B, max_depth), kept on the tower as
-    ("cesaro", k, B, max_depth): its correlation prefix sums serve every
-    length of the averaging grid."""
-    key = ("cesaro", k, B, max_depth)
-    series = levels._cache.get(key)
+    """The series of (k, B, max_depth), kept on the tower in the dict k ->
+    series under ("cesaro", B, max_depth): its prefix sums serve every
+    length, and a grid cell finds both its series with one lookup."""
+    key = ("cesaro", B, max_depth)
+    family = levels._cache.get(key)
+    if family is None:
+        family = levels._cache[key] = {}
+    series = family.get(k)
     if series is None:
-        series = levels._cache[key] = _CesaroSeries(k, B, levels, max_depth)
+        series = family[k] = _CesaroSeries(k, B, levels, max_depth)
     return series
 
 
@@ -284,33 +290,46 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
     + (r L / R) sqrt(mu(B)) for the cylinder B.
 
     The norms come from the two Cesaro series of B (integer hit counts, one
-    Fraction per norm), both kept on the tower.  The verdict compares the
-    cached integer root ends lo/d, hi/d by cross-products, building no
-    Fraction: every denominator is positive, so a/b <= c/e exactly when
-    a e <= c b.  Only when the enclosures overlap does it decide exactly.
+    Fraction per norm), both kept on the tower.  The verdict builds no
+    Fraction: it first tries the cached coarse root ends, then compares the
+    integer ends lo/d, hi/d by cross-products: every denominator is
+    positive, so a/b <= c/e exactly when a e <= c b.  Only when the
+    enclosures overlap does it decide exactly.
     """
-    if min(R, L, r) < 1:
+    if R < 1 or L < 1 or r < 1:
         raise ValueError("R, L, r must all be >= 1")
-    lhs_series = _cesaro_series(1, B, levels, max_depth)
-    lhs_sq, lhs, lo, hi, d = lhs_series.root(levels, R)
-    rhs_norm_sq, _, lo_l, hi_l, d_l = _cesaro_series(r, B, levels, max_depth).root(levels, L)
+    try:  # a warm cell: one cylinder-keyed lookup, then int-keyed dicts
+        family = levels._cache["cesaro", B, max_depth]
+        lhs_roots = family[1].roots
+        cell = lhs_roots[R], family[r].roots[L], lhs_roots[1]
+    except KeyError:  # a series or a length not built yet
+        cell = None
+    if cell is None:  # outside the handler: a DepthExhausted chains to no KeyError
+        cell = tuple(_cesaro_series(k, B, levels, max_depth).root(levels, l)
+                     for k, l in ((1, R), (r, L), (1, 1)))
     # the length-1 average is 1_B itself: its norm is mu(B), its root sqrt(mu(B))
-    mu_b, _, lo_1, hi_1, d_1 = lhs_series.root(levels, 1)
-    # the ends of rhs = root_L + (r L / R) root_1 are
-    # (x_l d_1 R + r L d_l x_1) / den over den = d_l d_1 R, x = lo or hi
-    scale, den = r * L * d_l, d_l * d_1 * R
-    if hi * den <= (lo_l * d_1 * R + scale * lo_1) * d:
+    ((lhs_sq, lhs, lo, hi, d, _, hi_c), (rhs_norm_sq, _, lo_l, hi_l, d_l, lo_lc, _),
+     (mu_b, _, lo_1, hi_1, d_1, lo_1c, _)) = cell
+    if hi_c * R <= lo_lc * R + r * L * lo_1c:
+        # the coarse ends, rounded outward, already put lhs.upper <= rhs.lower
         holds, decided = True, "enclosure"
-    elif lo * den > (hi_l * d_1 * R + scale * hi_1) * d:
-        holds, decided = False, "enclosure"
     else:
-        # decide sqrt(lhs_sq) <= sqrt(rhs_norm_sq) + s sqrt(mu_b) exactly:
-        # square once, isolate the remaining root, square again
-        s = Fraction(r * L, R)
-        t = lhs_sq - rhs_norm_sq - s * s * mu_b
-        holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
-        decided = "exact"
-    return InequalityReport(R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, holds, decided)
+        # the ends of rhs = root_L + (r L / R) root_1 are
+        # (x_l d_1 R + r L d_l x_1) / den over den = d_l d_1 R, x = lo or hi
+        scale, den = r * L * d_l, d_l * d_1 * R
+        if hi * den <= (lo_l * d_1 * R + scale * lo_1) * d:
+            holds, decided = True, "enclosure"
+        elif lo * den > (hi_l * d_1 * R + scale * hi_1) * d:
+            holds, decided = False, "enclosure"
+        else:
+            # decide sqrt(lhs_sq) <= sqrt(rhs_norm_sq) + s sqrt(mu_b) exactly:
+            # square once, isolate the remaining root, square again
+            s = Fraction(r * L, R)
+            t = lhs_sq - rhs_norm_sq - s * s * mu_b
+            holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
+            decided = "exact"
+    return tuple.__new__(InequalityReport,
+                         (R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, holds, decided))
 
 
 @dataclass(frozen=True)

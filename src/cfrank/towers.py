@@ -51,12 +51,14 @@ class TowerLevels:
     memoizes pure results, filled on first use and keyed by tuples whose
     layout the function that builds each entry documents: ("pair", A, B)
     a resolved-pair handle (_resolve_pair), ("fractions", n) the interned
-    ends k / cuts_product[n] (level_fractions), and _difference_table,
-    _cesaro_series, _base and oracle_correlation_bounds.  A class kernel
-    holds the list of per-stage difference tables it reads and one memo
-    dict per stage, keyed by the shifts inside its reach window
-    -top(A^n) <= t <= top(B^n), so shifts whose count is zero for want of
-    overlap take no entry.  Finished correlations are not memoized.  No
+    ends k / cuts_product[n] (level_fractions), ("cesaro", B, max_depth)
+    the dict k -> Cesaro series (_cesaro_series), and _difference_table,
+    _base and oracle_correlation_bounds.  A class kernel holds the list of
+    per-stage difference tables it reads and one memo dict per stage,
+    keyed by the shifts inside its reach window -top(A^n) <= t <= top(B^n),
+    so shifts whose count is zero for want of overlap take no entry; one of
+    equal representatives (A0 == B0) keys its memo by |t|.  Finished
+    correlations are not memoized.  No
     entry is bounded; all live as long as the TowerLevels.  A cylinder in
     a key hashes once: CylinderSet keeps its hash after the first lookup.
     """

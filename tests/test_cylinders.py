@@ -311,11 +311,13 @@ def test_kernel_matches_piece_decomposition(case):
 
 
 @settings(max_examples=60)
-@given(st.data(), st.sampled_from(["both", "empty A", "empty B", "B past the budget"]))
+@given(st.data(), st.sampled_from(["both", "empty A", "empty B", "B past the budget",
+                                   "B is a translate of A"]))
 def test_every_shift_matches_the_decomposition(data, kind):
-    # the resolved pair's residual shortcut and the interned ends, at every
-    # m of [-h_n, h_n]: an empty B has an empty kernel reach, while A can
-    # still leave the tower
+    # the resolved pair's no-spill stage, its residual and the interned
+    # ends, at every m of [-h_n, h_n]: an empty B has an empty kernel reach,
+    # while A can still leave the tower; a translate of A has the class of
+    # equal representatives, whose memo is keyed by |t|
     levels = data.draw(small_towers(st.integers(2, 3)))
 
     def cylinder(level, empty):
@@ -326,9 +328,14 @@ def test_every_shift_matches_the_decomposition(data, kind):
 
     A = cylinder(data.draw(st.integers(0, levels.depth - 2)), kind == "empty A")
     max_depth = data.draw(st.integers(A.level + 1, levels.depth - (kind == "B past the budget")))
-    b_level = data.draw(st.integers(max_depth + 1, levels.depth) if kind == "B past the budget"
-                        else st.integers(0, levels.depth))
-    B = cylinder(b_level, kind == "empty B")
+    if kind == "B is a translate of A":
+        lo, hi = A.levels_set.min(), A.levels_set.max()
+        u = data.draw(st.integers(-lo, levels.h[A.level] - 1 - hi))
+        B = CylinderSet(A.level, A.levels_set.shift(u))
+    else:
+        b_level = data.draw(st.integers(max_depth + 1, levels.depth)
+                            if kind == "B past the budget" else st.integers(0, levels.depth))
+        B = cylinder(b_level, kind == "empty B")
     n = max(max_depth, B.level)
     ends, q = levels.level_fractions(n), levels.cuts_product[n]
     for m in range(-levels.h[n], levels.h[n] + 1):

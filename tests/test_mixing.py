@@ -25,7 +25,9 @@ from cfrank import (
 )
 from cfrank.errors import DepthExhausted, DepthUnavailable, Enclosure
 from cfrank.mixing import (
+    COARSE_BITS,
     MAX_SAMPLE_TIMES,
+    _cesaro_series,
     outside_proof_window,
     weak_limit_discrepancy_bounds,
 )
@@ -453,6 +455,46 @@ def test_inequality_rhs_is_root_l_plus_scaled_root_1(case):
         t = rep.lhs_sq - rep.rhs_norm_sq - s * s * rep.mu_b
         want = t <= 0 or t * t <= 4 * s * s * rep.rhs_norm_sq * rep.mu_b, "exact"
     assert (rep.holds, rep.decided_by) == want
+    # the coarse ends the verdict reads first are the root ends rounded
+    # outward to multiples of 2**-COARSE_BITS, as tight as that allows
+    one = 1 << COARSE_BITS
+    for k, l in ((1, R), (r, L), (1, 1)):
+        _, (lo, hi), *_, lo_c, hi_c = _cesaro_series(k, B, levels, max_depth).root(levels, l)
+        assert Fraction(lo_c, one) <= lo < Fraction(lo_c + 1, one)
+        assert Fraction(hi_c - 1, one) < hi <= Fraction(hi_c, one)
+
+
+def test_shuffled_grid_reads_the_ordered_reports(sched_r3z1):
+    # criterion 4's grid for one cylinder on two fresh towers: in a shuffled
+    # order any cell may be the first to use a series or a length
+    B = pts(2, 3, 7, 20)
+    cells = [(R, L, r) for R in range(2, 65) for L in range(1, 9) for r in range(1, 9)]
+    levels = build_levels(sched_r3z1, 24)
+    want = {cell: check_averaging_inequality(*cell, B, levels, 24) for cell in cells}
+    random.Random(4).shuffle(cells)
+    levels = build_levels(sched_r3z1, 24)
+    for cell in cells:
+        assert check_averaging_inequality(*cell, B, levels, 24) == want[cell], cell
+
+
+def test_exhausted_cells_leave_later_cells_and_norms_unchanged(sched_r3_zramp):
+    # at budget 2 the step-1 series of B resolves lengths up to 13 and the
+    # step-4 series up to 4, so many cells raise DepthExhausted (exit 4);
+    # in a shuffled order, each cell and then each Cesaro norm must read as
+    # on a fresh tower
+    B = pts(1, 0)
+    cells = [(R, L, r) for R in range(1, 17) for L in range(1, 7) for r in range(1, 5)]
+    want = {cell: cesaro_outcome(check_averaging_inequality, *cell, B,
+                                 build_levels(sched_r3_zramp, 2), 2) for cell in cells}
+    assert 0 < sum(kind == "value" for kind, _ in want.values()) < len(cells)
+    levels = build_levels(sched_r3_zramp, 2)
+    random.Random(5).shuffle(cells)
+    for cell in cells:
+        assert cesaro_outcome(check_averaging_inequality, *cell, B, levels, 2) == want[cell]
+    for k in range(1, 5):
+        for l in range(1, 17):
+            assert (cesaro_outcome(cesaro_norm, k, l, B, levels, 2)
+                    == cesaro_outcome(cesaro_norm, k, l, B, build_levels(sched_r3_zramp, 2), 2))
 
 
 # ------------------------------------------------------------- weak limits
