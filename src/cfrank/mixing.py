@@ -181,9 +181,9 @@ class _CesaroSeries:
     Fraction (l size + 2 (l s0 - s1)) / (l^2 q).  Lengths are finished in increasing
     order (see cesaro_norm), so the first unresolved c_p raises the
     DepthExhausted that correlation raises, for every longer average, and
-    leaves the shorter ones intact.  roots[l] holds the length-l norm, its
-    square-root enclosure, that enclosure's ends lo/d, hi/d as integers
-    (lo, hi, d), and lo_c, hi_c: the ends rounded outward to 2**-COARSE_BITS.
+    leaves the shorter ones intact.  roots[l] holds the length-l norm and
+    five integers, no enclosure: its root's ends lo/d, hi/d as (lo, hi, d),
+    and lo_c, hi_c, those ends rounded outward to 2**-COARSE_BITS.
     """
 
     __slots__ = ("k", "B", "max_depth", "s0", "s1", "norms", "roots")
@@ -192,7 +192,7 @@ class _CesaroSeries:
         self.k, self.B, self.max_depth = k, B, max_depth
         self.s0 = self.s1 = 0
         self.norms = [B.measure(levels)]  # norms[l - 1]: the length-l norm
-        self.roots: dict[int, tuple[Fraction, Enclosure, int, int, int, int, int]] = {}
+        self.roots: dict[int, tuple[Fraction, int, int, int, int, int]] = {}
 
     def norm(self, levels: TowerLevels, l: int) -> Fraction:
         B = self.B
@@ -210,15 +210,13 @@ class _CesaroSeries:
                                        l_new * l_new * q))
         return self.norms[l - 1]
 
-    def root(self, levels: TowerLevels,
-             l: int) -> tuple[Fraction, Enclosure, int, int, int, int, int]:
-        """(norm, its root enclosure, lo, hi, d, lo_c, hi_c) of length l, from one lookup."""
+    def root(self, levels: TowerLevels, l: int) -> tuple[Fraction, int, int, int, int, int]:
+        """(norm, lo, hi, d, lo_c, hi_c) of length l, from one lookup."""
         hit = self.roots.get(l)
         if hit is None:
             norm = self.norm(levels, l)
             lo, hi, d = _sqrt_ends(norm)
-            hit = self.roots[l] = (norm, Enclosure(Fraction(lo, d), Fraction(hi, d)),
-                                   lo, hi, d, (lo << COARSE_BITS) // d,
+            hit = self.roots[l] = (norm, lo, hi, d, (lo << COARSE_BITS) // d,
                                    -((-hi << COARSE_BITS) // d))
         return hit
 
@@ -228,14 +226,10 @@ def _cesaro_series(k: int, B: CylinderSet, levels: TowerLevels,
     """The series of (k, B, max_depth), kept on the tower in the dict k ->
     series under ("cesaro", B, max_depth): its prefix sums serve every
     length, and a grid cell finds both its series with one lookup."""
-    key = ("cesaro", B, max_depth)
-    family = levels._cache.get(key)
-    if family is None:
-        family = levels._cache[key] = {}
-    series = family.get(k)
-    if series is None:
-        series = family[k] = _CesaroSeries(k, B, levels, max_depth)
-    return series
+    family = levels._cache.setdefault(("cesaro", B, max_depth), {})
+    if k not in family:
+        family[k] = _CesaroSeries(k, B, levels, max_depth)
+    return family[k]
 
 
 def cesaro_norm(k: int, l: int, B: CylinderSet, levels: TowerLevels,
@@ -246,25 +240,28 @@ def cesaro_norm(k: int, l: int, B: CylinderSet, levels: TowerLevels,
     the symmetry mu(T^{-p} B cap B) = mu(T^{p} B cap B), with l - p pairs
     at each |i - j| = p, the cross sum is 2 (l S0(l) - S1(l)), where
     c_p = mu(T^{pk} B cap B), S0(l) = sum_{0<p<l} c_p and
-    S1(l) = sum_{0<p<l} p c_p.  One series per (k, B, max_depth) is kept
-    on the TowerLevels and serves every length.
+    S1(l) = sum_{0<p<l} p c_p.  So the norm depends on |k| only: one series
+    per (|k|, B, max_depth), kept on the TowerLevels, serves k, -k and every
+    length.  It counts forward shifts, since mass at the tower base spills
+    below it under every T^{-p}, at any budget.
     """
     if l < 1:
         raise ValueError("average length l must be >= 1")
-    return _cesaro_series(k, B, levels, max_depth).norm(levels, l)
+    return _cesaro_series(abs(k), B, levels, max_depth).norm(levels, l)
 
 
 class InequalityReport(NamedTuple):
     """Both sides of the averaging inequality with exact enclosures.
 
     lhs is the norm of the step-1 average of length R; rhs is the norm of
-    the step-r average of length L plus (r L / R) sqrt(mu(B)).  rhs is not
-    a field: it is computed when read, end by end, from rhs_norm_sq, mu_b,
-    R, L and r.  `holds` is decided from the safe sides of the enclosures,
-    falling back to an exact algebraic comparison when the enclosures alone
-    cannot separate sides.  Like Enclosure, the report is an immutable
-    tuple: one is built per cell of the averaging grid, and a tuple is
-    built in one step where a frozen dataclass sets each field in turn.
+    the step-r average of length L plus (r L / R) sqrt(mu(B)).  Neither is
+    a field: both are computed when read, lhs from lhs_sq and rhs end by
+    end from rhs_norm_sq, mu_b, R, L and r.  `holds` is decided from the
+    safe sides of the enclosures, falling back to an exact algebraic
+    comparison when the enclosures alone cannot separate sides.  Like
+    Enclosure, the report is an immutable tuple: one is built per cell of
+    the averaging grid, and a tuple is built in one step where a frozen
+    dataclass sets each field in turn.
     """
 
     R: int
@@ -273,9 +270,12 @@ class InequalityReport(NamedTuple):
     mu_b: Fraction
     lhs_sq: Fraction
     rhs_norm_sq: Fraction
-    lhs: Enclosure
     holds: bool
     decided_by: str
+
+    @property
+    def lhs(self) -> Enclosure:
+        return sqrt_enclosure(self.lhs_sq)
 
     @property
     def rhs(self) -> Enclosure:
@@ -308,8 +308,8 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
         cell = tuple(_cesaro_series(k, B, levels, max_depth).root(levels, l)
                      for k, l in ((1, R), (r, L), (1, 1)))
     # the length-1 average is 1_B itself: its norm is mu(B), its root sqrt(mu(B))
-    ((lhs_sq, lhs, lo, hi, d, _, hi_c), (rhs_norm_sq, _, lo_l, hi_l, d_l, lo_lc, _),
-     (mu_b, _, lo_1, hi_1, d_1, lo_1c, _)) = cell
+    ((lhs_sq, lo, hi, d, _, hi_c), (rhs_norm_sq, lo_l, hi_l, d_l, lo_lc, _),
+     (mu_b, lo_1, hi_1, d_1, lo_1c, _)) = cell
     if hi_c * R <= lo_lc * R + r * L * lo_1c:
         # the coarse ends, rounded outward, already put lhs.upper <= rhs.lower
         holds, decided = True, "enclosure"
@@ -329,7 +329,7 @@ def check_averaging_inequality(R: int, L: int, r: int, B: CylinderSet,
             holds = t <= 0 or t * t <= 4 * s * s * rhs_norm_sq * mu_b
             decided = "exact"
     return tuple.__new__(InequalityReport,
-                         (R, L, r, mu_b, lhs_sq, rhs_norm_sq, lhs, holds, decided))
+                         (R, L, r, mu_b, lhs_sq, rhs_norm_sq, holds, decided))
 
 
 @dataclass(frozen=True)

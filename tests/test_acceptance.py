@@ -152,8 +152,9 @@ def test_criterion_4_averaging_inequality_grid(_clock):
                     rep = check_averaging_inequality(R, L, r, B, lv, 24)
                     if not rep.holds:
                         violations += 1
-                    digest.update(f"{rep.lhs_sq} {rep.rhs_norm_sq} {rep.lhs.lower} "
-                                  f"{rep.lhs.upper} {rep.rhs.lower} {rep.rhs.upper} "
+                    lhs, rhs = rep.lhs, rep.rhs  # each built when read: read once
+                    digest.update(f"{rep.lhs_sq} {rep.rhs_norm_sq} {lhs.lower} "
+                                  f"{lhs.upper} {rhs.lower} {rhs.upper} "
                                   f"{rep.decided_by}\n".encode("ascii"))
     assert violations == 0
     # frozen over every report's exact norms, root enclosures and decision path

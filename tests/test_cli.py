@@ -330,6 +330,21 @@ def test_cesaro_command(sched_path, tmp_path):
     assert json.loads(text)["squared_norm"] == {"numerator": "2", "denominator": "3"}
 
 
+def test_cesaro_command_reads_the_norm_of_abs_k(sched_path, tmp_path):
+    # the cylinder is the tower base, which spills below itself under every
+    # negative shift: --k -1 resolves only by reading the series of |k|
+    norms = []
+    for k in ("1", "-1"):
+        code, text = run_main(
+            ["cesaro", "--schedule", sched_path, "--depth", "3", "--k", k, "--l", "4",
+             "--cylinder", CYL],
+            tmp_path / f"c{k}.json",
+        )
+        assert code == 0
+        norms.append(json.loads(text)["squared_norm"])
+    assert norms[0] == norms[1]
+
+
 @pytest.mark.parametrize("command, option, text", [
     (["cesaro", "--k", "2", "--l", "2"], "--cylinder", CYL + "\n"),
     (["scan-mixing", "--stages", "0:2", "--samples", "8"], "--tests", PAIR + "\n"),

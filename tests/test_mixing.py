@@ -311,12 +311,12 @@ def test_cesaro_norm_brute_force_cross_check(levels_r3_zramp):
 def literal_cesaro_norm(k, l, B, levels, max_depth):
     """(1/l^2) sum_{i, j < l} mu(T^{(i-j)k} B cap B), term by term.
 
-    Each term is read at the shift |i - j| k, the same measure by
+    Each term is read at the shift |(i - j) k|, the same measure by
     mu(T^{-m} B cap B) = mu(T^m B cap B).  Row i = 0 meets every |i - j|
     in increasing order, so an unresolved sum raises at its smallest
     unresolved shift.
     """
-    total = sum(correlation(abs(i - j) * k, B, B, levels, max_depth)
+    total = sum(correlation(abs((i - j) * k), B, B, levels, max_depth)
                 for i in range(l) for j in range(l))
     return Fraction(total, l * l)
 
@@ -358,6 +358,17 @@ def test_cesaro_norm_matches_literal_double_sum(case):
         assert cesaro_outcome(cesaro_norm, k, l, B, levels, max_depth) == expected[l]
 
 
+def test_cesaro_norm_of_a_negative_step_is_that_of_abs_k(sched_r3_zramp):
+    # mu(T^{-p} B cap B) = mu(T^p B cap B), so the norm depends on |k| only,
+    # also for a B on the tower base, whose mass spills below it under every
+    # T^{-p} at any budget; each norm is read on a fresh tower
+    B = pts(1, 0, 1)
+    for k in (1, 2, 3):
+        for l in (1, 2, 5, 8):
+            want = cesaro_norm(k, l, B, build_levels(sched_r3_zramp, 5), 5)
+            assert cesaro_norm(-k, l, B, build_levels(sched_r3_zramp, 5), 5) == want
+
+
 def test_cesaro_rejects_bad_length(levels_r3_zramp):
     with pytest.raises(ValueError):
         cesaro_norm(1, 0, pts(0, 0), levels_r3_zramp, 4)
@@ -392,12 +403,25 @@ def test_inequality_report_is_an_immutable_tuple(levels_r3_zramp):
     rep = check_averaging_inequality(6, 2, 2, pts(0, 0), levels_r3_zramp, 4)
     assert isinstance(rep, tuple)
     assert InequalityReport._fields == ("R", "L", "r", "mu_b", "lhs_sq", "rhs_norm_sq",
-                                        "lhs", "holds", "decided_by")
-    for name in InequalityReport._fields + ("rhs", "extra"):
+                                        "holds", "decided_by")
+    for name in InequalityReport._fields + ("lhs", "rhs", "extra"):
         with pytest.raises(AttributeError):
             setattr(rep, name, rep.R)
     assert rep.rhs == (sqrt_enclosure(rep.rhs_norm_sq)
                        + Fraction(2 * 2, 6) * sqrt_enclosure(rep.mu_b))
+
+
+def test_root_records_hold_a_norm_and_five_integers(sched_r3z1):
+    # a root record keeps no enclosure: a report builds one when it is read
+    levels = build_levels(sched_r3z1, 24)
+    B = pts(2, 3, 7, 20)
+    check_averaging_inequality(40, 3, 5, B, levels, 24)
+    family = levels._cache["cesaro", B, 24]
+    assert sorted(family) == [1, 5]
+    for series in family.values():
+        assert series.roots
+        for record in series.roots.values():
+            assert [type(x) for x in record] == [Fraction] + [int] * 5
 
 
 def test_inequality_random_grid(levels_r3_zramp):
@@ -459,9 +483,9 @@ def test_inequality_rhs_is_root_l_plus_scaled_root_1(case):
     # outward to multiples of 2**-COARSE_BITS, as tight as that allows
     one = 1 << COARSE_BITS
     for k, l in ((1, R), (r, L), (1, 1)):
-        _, (lo, hi), *_, lo_c, hi_c = _cesaro_series(k, B, levels, max_depth).root(levels, l)
-        assert Fraction(lo_c, one) <= lo < Fraction(lo_c + 1, one)
-        assert Fraction(hi_c - 1, one) < hi <= Fraction(hi_c, one)
+        _, lo, hi, d, lo_c, hi_c = _cesaro_series(k, B, levels, max_depth).root(levels, l)
+        assert Fraction(lo_c, one) <= Fraction(lo, d) < Fraction(lo_c + 1, one)
+        assert Fraction(hi_c - 1, one) < Fraction(hi, d) <= Fraction(hi_c, one)
 
 
 def test_shuffled_grid_reads_the_ordered_reports(sched_r3z1):
