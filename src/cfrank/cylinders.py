@@ -24,8 +24,9 @@ Either way what is still unresolved at the max depth is reported as an
 explicit residual measure, never silently dropped.  A pair is resolved
 once per tower (_resolve_pair); a single-time correlation then pays a room
 check, one kernel read at the shallowest stage where A + m does not spill
-(one bisect; else a read and a rank query at n) and two reads of interned
-fractions.  A class of equal representatives memoizes E(n, t) by |t|.
+(one bisect; else a read and a rank query at n, or a bisect in A's own
+intervals when only one copy chain of A crosses the edge) and two reads of
+interned fractions.  A class of equal representatives memoizes E(n, t) by |t|.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ class _ResolvedPair:
     immutable and nothing is cached for a pair that fails.
     """
 
-    __slots__ = ("kernel", "ua", "shift", "gaps")
+    __slots__ = ("kernel", "ua", "shift", "gaps", "top")
 
     def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         A.validate(levels)
@@ -363,16 +364,28 @@ class _ResolvedPair:
         if kernel is None:
             kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
         self.kernel, self.ua, self.shift, self.gaps = kernel, ua, ub - ua, kernel.gaps
+        self.top = A0.levels_set.max() if A0.levels_set else 0
 
     def lost(self, levels: TowerLevels, n: int, m: int) -> int:
         """#{x in A^n : x + m outside [0, h_n)}.  A^n lies in [ua, h_n), so
-        only the side m moves toward is left: 0 when A^n + m stays on it,
-        else one rank."""
+        only the side m moves toward is left: 0 when A^n + m stays on it.
+        Else, when the edge cuts only A's top copy chain (A0 plus the last
+        offset of every stage; m >= 0) or its bottom one (A0 itself, below
+        the second offset of A's stage; m < 0), one bisect in A0's intervals,
+        and otherwise one rank walk."""
         a, ua = self.kernel.a, self.ua
         if m >= 0:
-            x = levels.h[n] - m - ua  # the points of A0^n from x on leave
-            return 0 if m + ua < self.gaps[n] else a.size_at(levels, n) - a.rank(levels, n, x)
-        return 0 if ua + m >= 0 else a.rank(levels, n, -m - ua)
+            gap = self.gaps[n]
+            if m + ua < gap:
+                return 0
+            y = gap + self.top - m - ua  # h_n - m - ua less the top chain's offsets
+            if y >= 0:
+                return a.size - a.rank(levels, a.level, y)
+            return a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m - ua)
+        x = -m - ua
+        if x <= 0:
+            return 0
+        return a.rank(levels, a.level if x <= levels.offsets[a.level][1] else n, x)
 
     def counts(self, levels: TowerLevels, n: int, m: int) -> tuple[int, int]:
         """(hits, lost) at stage n.  If A^s + m stays in [0, h_s) at a stage s

@@ -12,15 +12,22 @@ or the same [lower, upper] interval.
 A stage-k cylinder with points A_k is A^N = S + A_k at depth N, where the
 sumset S = C_k + ... + C_{N-1} is built once per (k, N), kept in the
 tower's cache and checked once to have gaps of at least h_k, so S + A_k is
-a disjoint, strictly increasing sum for every point set in [0, h_k).  With
-the shallower cylinder refined to stage k, collisions of T^m A with B are
+a disjoint, strictly increasing sum for every point set in [0, h_k).  S is
+held in the narrowest signed dtype that holds h_N (int32 below 2**31, else
+int64), written in place and gap-checked _CHUNK points at a time, so its
+build needs S plus one slice.  With the shallower cylinder refined to
+stage k, collisions of T^m A with B are
 
     sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
 
 each R(|d|) counted once per (k, N) by merging S + d with S, _CHUNK
-points of S + d at a time.  A pair keeps its refined points and distinct
+points of S + d at a time; a lag below the least gap of S, or past the
+tower, is 0 without a merge.  A pair keeps its refined points and distinct
 differences p - q with multiplicities, so a call costs one lag read per
 difference, two searches for the residual (_kept) and interned ends.
+Every search needle and merge chunk has S's dtype: numpy would otherwise
+cast all of S to int64 for each Python-int needle.  expand_points returns
+int64 points whatever the dtype of S.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 numpy is imported only when the oracle is first used, so `import cfrank`
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from math import prod
 from typing import TYPE_CHECKING
 
 from .errors import DepthUnavailable, Enclosure, OffsetOverlap
@@ -41,29 +49,39 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_SAFE = 1 << 60  # keep well inside int64
-_CHUNK = 1 << 16  # points of s + d merged with s at a time
+_CHUNK = 1 << 15  # points of s + d merged with s, or of s gap-checked, at a time
 
 
 class _Lags(dict):
-    """R(d) = #{x in s : x + d in s} by lag d >= 0, merge-counted on first use."""
+    """R(d) = #{x in s : x + d in s} by lag d >= 0, merge-counted on first use.
 
-    def __init__(self, s: np.ndarray, h: int):
+    gap is the least distance between consecutive points of s (h when s has
+    one point): every lag 0 < d < gap, and every d >= h, is 0 without a
+    merge.  Needles and merge chunks take s's dtype, so numpy never casts s
+    to a wider one, and an int32 s never meets a lag past its range.
+    """
+
+    def __init__(self, s: np.ndarray, h: int, gap: int):
         super().__init__()
-        self.s, self.h = s, h
+        self.s, self.h, self.gap = s, h, gap
 
     def __missing__(self, d: int) -> int:
         import numpy as np
 
         s = self.s
-        n = int(np.searchsorted(s, self.h - d))  # s + d stays inside the tower
         count = 0
-        for i in range(0, n, _CHUNK):  # each run of s + d against the slice of s it spans
-            j = min(i + _CHUNK, n)
-            lo, hi = (0, s.size) if s.size <= _CHUNK else (  # a short s: merged whole
-                np.searchsorted(s, s[i] + d), np.searchsorted(s, s[j - 1] + d, "right"))
-            merged = np.concatenate((s[i:j] + d, s[lo:hi]))
-            merged.sort(kind="stable")  # two sorted runs: one merge
-            count += int(np.count_nonzero(merged[1:] == merged[:-1]))
+        if d == 0 or self.gap <= d < self.h:  # else no two points are d apart in the tower
+            t = s.dtype.type
+            n = int(np.searchsorted(s, t(self.h - d)))  # s + d stays inside the tower
+            step = t(d)
+            for i in range(0, n, _CHUNK):  # each run of s + d against the slice of s it spans
+                j = min(i + _CHUNK, n)
+                lo, hi = (0, s.size) if s.size <= _CHUNK else (  # a short s: merged whole
+                    np.searchsorted(s, s[i] + step),
+                    np.searchsorted(s, s[j - 1] + step, "right"))
+                merged = np.concatenate((s[i:j] + step, s[lo:hi]))
+                merged.sort(kind="stable")  # two sorted runs: one merge
+                count += int(np.count_nonzero(merged[1:] == merged[:-1]))
         self[d] = count
         return count
 
@@ -72,25 +90,37 @@ def _base(levels: TowerLevels, k: int, depth: int) -> _Lags:
     """The sumset C_k + ... + C_{depth-1} with its lag counts so far.
 
     Kept on the tower as ("oracle", k, depth), sized by the sumset:
-    r_k * ... * r_{depth-1} int64 points.
+    r_k * ... * r_{depth-1} points, int32 when h_depth < 2**31, else int64.
+    S is built in place, stage by stage (block j of a stage is the sumset so
+    far plus c_j, written from the last block down to block 0, which it
+    reads), and its gaps are checked _CHUNK at a time, so no temporary is
+    as large as S.
     """
     key = ("oracle", k, depth)
     if key not in levels._cache:
         import numpy as np
 
         levels.require_depth(depth)
-        if levels.h[depth] >= _MAX_SAFE:
-            raise ValueError(
-                f"oracle requires h_depth < 2**60, got h_{depth} = {levels.h[depth]}")
+        h = levels.h[depth]
+        if h >= _MAX_SAFE:
+            raise ValueError(f"oracle requires h_depth < 2**60, got h_{depth} = {h}")
         if depth < k:
             raise DepthUnavailable(
                 f"cannot expand a stage-{k} cylinder at shallower stage {depth}")
-        s = np.zeros(1, dtype=np.int64)
-        for n in range(k, depth):
-            s = (np.asarray(levels.offsets[n], dtype=np.int64)[:, None] + s[None, :]).ravel()
-        if not (s[1:] - s[:-1] >= levels.h[k]).all():
+        offsets = levels.offsets[k:depth]
+        s = np.zeros(prod(map(len, offsets)), dtype=np.int32 if h < 1 << 31 else np.int64)
+        t, size = s.dtype.type, 1
+        for stage in offsets:
+            for j in reversed(range(len(stage))):
+                np.add(s[:size], t(stage[j]), out=s[j * size:(j + 1) * size])
+            size *= len(stage)
+        gap = h
+        for i in range(1, s.size, _CHUNK):  # the pairs (p - 1, p), p in [i, j)
+            j = min(i + _CHUNK, s.size)
+            gap = min(gap, int((s[i:j] - s[i - 1:j - 1]).min()))
+        if gap < levels.h[k]:
             raise OffsetOverlap(f"stage-{depth} copies of the stage-{k} tower overlap")
-        levels._cache[key] = _Lags(s, levels.h[depth])
+        levels._cache[key] = _Lags(s, h, gap)
     return levels._cache[key]
 
 
@@ -117,7 +147,7 @@ def _kept(s: np.ndarray, pa: list[int], x: int) -> int:
     next keeps the p below x - v, and every later v lies past x."""
     if not pa:
         return 0
-    j = int(s.searchsorted(x - pa[-1]))
+    j = int(s.searchsorted(s.dtype.type(x - pa[-1])))
     return len(pa) * j + (bisect_left(pa, x - int(s[j])) if j < s.size else 0)
 
 

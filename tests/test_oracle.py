@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from cfrank import (
     CylinderSet,
     Enclosure,
     Schedule,
+    affine,
     build_levels,
     const,
     correlation_bounds,
@@ -279,15 +281,22 @@ def test_lag_counts_match_set_intersections_in_any_chunk(chunk, data):
         if chunk is not None:
             mp.setattr(oracle, "_CHUNK", chunk)
         lags = _base(levels, k, levels.depth)
-        s = set(lags.s.tolist())
+        points = lags.s.tolist()
+        # the least gap is read over every consecutive pair, also those that
+        # straddle two chunks; the lags below it are answered without a merge
+        assert lags.gap == min((b - a for a, b in zip(points, points[1:])),
+                               default=levels.h[levels.depth])
+        s = set(points)
         for d in range(levels.h[levels.depth] + 1):
             assert lags[d] == len(s & {x + d for x in s})
 
 
-def test_expand_points_rejects_overlapping_copies(sched_r3z1):
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_expand_points_rejects_overlapping_copies(sched_r3z1, chunk, monkeypatch):
     # build_levels never makes these offsets; the oracle's sortedness and
     # its collision count rest on that, so it checks the offsets of every
     # sumset it builds, even where one point's copies [0, 2] do not collide
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
     lv = TowerLevels(sched_r3z1, 1, h=[3, 6], bigH=[3], offsets=[[0, 2]],
                      cuts_product=[1, 2], r=[2, 2], z=[0], d=[0])
     with pytest.raises(OffsetOverlap):
@@ -296,6 +305,69 @@ def test_expand_points_rejects_overlapping_copies(sched_r3z1):
         expand_points(0, [0], 1, lv)
     with pytest.raises(OffsetOverlap):
         oracle_correlation_bounds(0, 0, [0], 0, [0], lv, 1)
+    # only stage 2 overlaps (copies of height 12 at 0 and 11): its sumset
+    # [0, 3, 6, 9, 11, 14, 17, 20] has the one short gap 9 -> 11, which
+    # opens a slice of the gap check when chunk is 1 or 3
+    lv = TowerLevels(sched_r3z1, 3, h=[3, 6, 12, 24], bigH=[3, 6, 12],
+                     offsets=[[0, 3], [0, 6], [0, 11]], cuts_product=[1, 2, 4, 8],
+                     r=[2, 2, 2, 2], z=[0, 0, 0], d=[0, 0, 0])
+    assert expand_points(0, [0], 2, lv).tolist() == [0, 3, 6, 9]
+    with pytest.raises(OffsetOverlap, match="stage-3 copies of the stage-0 tower overlap"):
+        expand_points(0, [0], 3, lv)
+    with pytest.raises(OffsetOverlap, match="stage-3 copies of the stage-1 tower overlap"):
+        oracle_correlation_bounds(0, 1, [0], 1, [0], lv, 3)
+
+
+@pytest.mark.parametrize("h0, r, dtype", [
+    (2**29 - 1, 2, np.int32),  # h_2 = 2**31 - 1, the largest int32 tower top
+    (2**30, 3, np.int64),  # h_1 = 3 * 2**30 + 3 and h_2 = 9 * 2**30 + 12, past int32
+])
+def test_sumset_dtype_holds_the_tower_top(h0, r, dtype):
+    # S is int32 while every point and every needle fits, else int64; the
+    # lags and residuals near the top, where int32 would overflow first,
+    # match Python-int set counts and the main path
+    lv = build_levels(Schedule("top", h0, const(r), const(0)), 2)
+    h = lv.h[2]
+    for k in (0, 1):
+        lags = _base(lv, k, 2)
+        assert lags.s.dtype == dtype
+        s = lags.s.tolist()
+        lag_set = {b - a + e for a in s for b in s if b > a for e in (-1, 0, 1)}
+        for d in sorted(lag_set | {0, 1, h - 1, h, h + 1}):
+            assert lags[d] == len(set(s) & {x + d for x in s}), (k, d)
+    assert expand_points(0, [h0 - 1], 2, lv).dtype == np.int64
+    a_pts, b_pts = [0, 1, h0 - 1], [0, h0 - 2, lv.h[1] - 1]
+    A = CylinderSet.from_points(0, a_pts)
+    for b_level in (0, 1):
+        B = CylinderSet.from_points(b_level, b_pts[:2] if b_level == 0 else b_pts)
+        b_points = list(B.levels_set.points())
+        for m in (0, 1, -1, h0 - 1, h0, -h0, lv.h[1], -lv.h[1], h - h0, h0 - h,
+                  h - 2, 2 - h, h - 1, 1 - h, h, -h):
+            want = _set_count_reference(m, 0, a_pts, b_level, b_points, lv, 2)
+            assert oracle_correlation_bounds(m, 0, a_pts, b_level, b_points, lv, 2) == want, m
+            assert correlation_bounds(m, A, B, lv, 2) == want, m
+
+
+def test_sumset_build_and_gap_check_hold_one_chunk_beside_the_sumset():
+    # criterion 5's tower at depth 8: S = C_1 + ... + C_7 has 604,800 int32
+    # points (h_8 = 7,538,545).  S is written in place and its gaps are read
+    # a slice at a time, so the build's peak is S plus about one slice; a
+    # lag below the least gap (h_1 + 1 = 10) is 0 without a merge
+    lv = build_levels(Schedule("c5", 1, affine(3, 1), const(1)), 8)
+    slice_bytes = oracle._CHUNK * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        lags = _base(lv, 1, 8)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert [lags[d] for d in range(1, lags.gap)] == [0] * (lags.gap - 1)
+        read = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (lags.s.dtype, lags.s.size, lags.gap) == (np.int32, 604_800, 10)
+    assert built <= lags.s.nbytes + 2 * slice_bytes
+    assert read < slice_bytes
 
 
 def test_expand_points_rejects_negative_stage(levels_r3z1):
