@@ -444,7 +444,7 @@ def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLeve
     hits, lost, n = _correlation_counts(m, A, B, levels, max_depth)
     ends = levels.level_fractions(n)
     lower = ends[hits]
-    return Enclosure(lower, ends[hits + lost] if lost else lower)
+    return tuple.__new__(Enclosure, (lower, ends[hits + lost] if lost else lower))
 
 
 def correlation(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,

@@ -21,13 +21,15 @@ stage k, collisions of T^m A with B are
     sum over p in A_k, q in B_k of R(m + p - q),  R(d) = #{s in S : s + d in S},
 
 each R(|d|) counted once per (k, N) by merging S + d with S, _CHUNK
-points of S + d at a time; a lag below the least gap of S, or past the
-tower, is 0 without a merge.  A pair keeps its refined points and distinct
-differences p - q with multiplicities, so a call costs one lag read per
-difference, two searches for the residual (_kept) and interned ends.
-Every search needle and merge chunk has S's dtype: numpy would otherwise
-cast all of S to int64 for each Python-int needle.  expand_points returns
-int64 points whatever the dtype of S.
+points of S + d at a time; a lag 0 < |d| < g, g the least gap of S, or
+past the tower, is 0 without a merge.  A pair keeps its refined points and
+its distinct differences p - q, sorted, with their multiplicities, so a
+warm call is plain Python: R(0) times the multiplicity of -m, the lags of
+the two runs of differences with |p - q + m| >= g, two bisects for the
+residual (_kept) and interned ends.  Every search bisects a memoryview of
+S, whose items are Python ints whatever S's dtype; only the merge slices
+are numpy, and they keep S's dtype.  expand_points returns int64 points
+whatever the dtype of S.
 
 Deliberately numpy-based and independent: do not reuse IntervalSet here.
 numpy is imported only when the oracle is first used, so `import cfrank`
@@ -37,7 +39,7 @@ it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from math import prod
 from typing import TYPE_CHECKING
@@ -57,28 +59,28 @@ class _Lags(dict):
 
     gap is the least distance between consecutive points of s (h when s has
     one point): every lag 0 < d < gap, and every d >= h, is 0 without a
-    merge.  Needles and merge chunks take s's dtype, so numpy never casts s
-    to a wider one, and an int32 s never meets a lag past its range.
+    merge.  view is a memoryview of s: it copies nothing and its items are
+    Python ints, so every search is a bisect in plain Python, whatever s's
+    dtype.  Only the merge slices are numpy, and they keep s's dtype, so an
+    int32 s is never cast to a wider one.
     """
 
     def __init__(self, s: np.ndarray, h: int, gap: int):
         super().__init__()
-        self.s, self.h, self.gap = s, h, gap
+        self.s, self.h, self.gap, self.view = s, h, gap, memoryview(s)
 
     def __missing__(self, d: int) -> int:
         import numpy as np
 
-        s = self.s
+        s, view = self.s, self.view
         count = 0
         if d == 0 or self.gap <= d < self.h:  # else no two points are d apart in the tower
-            t = s.dtype.type
-            n = int(np.searchsorted(s, t(self.h - d)))  # s + d stays inside the tower
-            step = t(d)
+            n = bisect_left(view, self.h - d)  # s + d stays inside the tower
+            step = s.dtype.type(d)
             for i in range(0, n, _CHUNK):  # each run of s + d against the slice of s it spans
                 j = min(i + _CHUNK, n)
-                lo, hi = (0, s.size) if s.size <= _CHUNK else (  # a short s: merged whole
-                    np.searchsorted(s, s[i] + step),
-                    np.searchsorted(s, s[j - 1] + step, "right"))
+                lo, hi = (0, len(view)) if len(view) <= _CHUNK else (  # a short s: merged whole
+                    bisect_left(view, view[i] + d), bisect_right(view, view[j - 1] + d))
                 merged = np.concatenate((s[i:j] + step, s[lo:hi]))
                 merged.sort(kind="stable")  # two sorted runs: one merge
                 count += int(np.count_nonzero(merged[1:] == merged[:-1]))
@@ -141,14 +143,15 @@ def expand_points(cyl_level: int, points, to_level: int, levels: TowerLevels) ->
     return (s[:, None] + np.asarray(pts, dtype=np.int64)[None, :]).ravel()
 
 
-def _kept(s: np.ndarray, pa: list[int], x: int) -> int:
-    """#{(v, p) in S x A_k : v + p < x}.  S has gaps >= h_k (_base checks) and A_k
-    lies sorted in [0, h_k): each v below x - max(A_k) keeps all of A_k, the
-    next keeps the p below x - v, and every later v lies past x."""
+def _kept(view: memoryview, pa: list[int], x: int) -> int:
+    """#{(v, p) in S x A_k : v + p < x}, with view a memoryview of S.  S has
+    gaps >= h_k (_base checks) and A_k lies sorted in [0, h_k): each v below
+    x - max(A_k) keeps all of A_k, the next keeps the p below x - v, and
+    every later v lies past x.  Both searches bisect Python ints."""
     if not pa:
         return 0
-    j = int(s.searchsorted(s.dtype.type(x - pa[-1])))
-    return len(pa) * j + (bisect_left(pa, x - int(s[j])) if j < s.size else 0)
+    j = bisect_left(view, x - pa[-1])
+    return len(pa) * j + (bisect_left(pa, x - view[j]) if j < len(view) else 0)
 
 
 def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_points,
@@ -160,9 +163,10 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
 
     ("oracle-pair", a_level, a_pts, b_level, b_pts, depth) keeps one pair
     on the tower: A's points refined to stage k = max(a_level, b_level),
-    sorted, the distinct differences p - q with multiplicities, the (k,
-    depth) lag counts of the ("oracle", k, depth) entry and the interned
-    ends.  Its points are validated once, when it is built.
+    sorted, the distinct differences p - q, sorted, with a dict of their
+    multiplicities, the (k, depth) lag counts of the ("oracle", k, depth)
+    entry and the interned ends.  Its points are validated once, when it
+    is built.
     """
     a_pts, b_pts = tuple(a_points), tuple(b_points)
     key = ("oracle-pair", a_level, a_pts, b_level, b_pts, depth)
@@ -171,18 +175,21 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
         k = max(a_level, b_level)
         pa = expand_points(a_level, a_pts, k, levels).tolist()
         pb = expand_points(b_level, b_pts, k, levels).tolist()
-        diffs = list(Counter(p - q for p in pa for q in pb).items())
-        entry = levels._cache[key] = (pa, diffs, _base(levels, k, depth),
+        mult = Counter(p - q for p in pa for q in pb)
+        entry = levels._cache[key] = (pa, sorted(mult), dict(mult), _base(levels, k, depth),
                                       levels.level_fractions(depth))
-    pa, diffs, lags, ends = entry
-    s, h = lags.s, lags.h
-    size = len(pa) * s.size
+    pa, diffs, mult, lags, ends = entry
+    view, h, g = lags.view, lags.h, lags.gap
+    size = len(pa) * len(view)
     m = int(m)
-    if abs(m) >= h:  # every point leaves the tower; also keeps m out of int64
-        return Enclosure(ends[0], ends[size])
-    hits = 0
-    for d, c in diffs:
-        hits += c * lags[abs(d + m)]
-    lost = size - _kept(s, pa, h - m) if m >= 0 else _kept(s, pa, -m)
+    if abs(m) >= h:  # every point leaves the tower
+        return tuple.__new__(Enclosure, (ends[0], ends[size]))
+    hits = mult.get(-m, 0) * len(view)  # R(0) = |S|
+    i = bisect_right(diffs, -g - m)
+    for d in diffs[:i]:  # d + m <= -g
+        hits += mult[d] * lags[-d - m]
+    for d in diffs[bisect_left(diffs, g - m, i):]:  # d + m >= g
+        hits += mult[d] * lags[d + m]
+    lost = size - _kept(view, pa, h - m) if m >= 0 else _kept(view, pa, -m)
     lower = ends[hits]
-    return Enclosure(lower, ends[hits + lost] if lost else lower)
+    return tuple.__new__(Enclosure, (lower, ends[hits + lost] if lost else lower))

@@ -424,6 +424,27 @@ def test_root_records_hold_a_norm_and_five_integers(sched_r3z1):
             assert [type(x) for x in record] == [Fraction] + [int] * 5
 
 
+@pytest.mark.parametrize("lhs_gap, rhs_gap, holds", [(42, 41, True), (41, 42, False)])
+def test_fine_root_ends_decide_where_the_coarse_ends_overlap(sched_r3z1, lhs_gap, rhs_gap,
+                                                             holds):
+    # seeded norms put the roots at lhs = 3/4 + 2**-lhs_gap and rhs = root_1
+    # + (2 / 4) root_1(mu) = (1/2 + 2**-rhs_gap) + 1/4: within 2**-30 of each
+    # other, so the coarse ends overlap, but 2**-42 apart, far past the
+    # 2**-64 width of the fine ends, which decide without the exact test
+    levels, B = build_levels(sched_r3z1, 2), pts(0, 0)
+    lhs = Fraction(3, 4) + Fraction(1, 2**lhs_gap)
+    root_l = Fraction(1, 2) + Fraction(1, 2**rhs_gap)
+    _cesaro_series(1, B, levels, 2).norms = [Fraction(1, 4), 0, 0, lhs * lhs]
+    _cesaro_series(2, B, levels, 2).norms = [root_l * root_l]
+    rep = check_averaging_inequality(4, 1, 2, B, levels, 2)
+    rhs = root_l + Fraction(1, 4)
+    assert (rep.lhs, rep.rhs) == ((lhs, lhs), (rhs, rhs))
+    hi_c = _cesaro_series(1, B, levels, 2).roots[4][5]
+    lo_lc, lo_1c = (_cesaro_series(k, B, levels, 2).roots[1][4] for k in (2, 1))
+    assert hi_c * 4 > lo_lc * 4 + 2 * lo_1c  # the coarse ends do not decide
+    assert (rep.holds, rep.decided_by) == (holds, "enclosure")
+
+
 def test_inequality_random_grid(levels_r3_zramp):
     lv = levels_r3_zramp
     rng = random.Random(12)

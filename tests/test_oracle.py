@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -55,6 +57,33 @@ def test_oracle_equivalence_smoke(levels_r3_zramp):
         main = correlation_bounds(m, A, B, lv, 4)
         orc = oracle_correlation_bounds(m, 1, [0, 4, 7], 2, [3, 10, 30], lv, 4)
         assert main == orc, m
+
+
+def test_warm_oracle_call_makes_no_numpy_call(levels_r3_zramp):
+    # once a pair and its lags are cached, a call is plain Python: no numpy
+    # function, ndarray or numpy-scalar method and no Python code in numpy
+    lv = levels_r3_zramp
+    shifts = range(-lv.h[4] - 1, lv.h[4] + 2)
+    for m in shifts:  # builds the pair entry and every lag it reads
+        oracle_correlation_bounds(m, 1, [0, 4, 7], 2, [3, 10, 30], lv, 4)
+    numpy_dir = os.path.dirname(np.__file__)
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "c_call":
+            if (getattr(arg, "__module__", None) or "").startswith("numpy") \
+                    or isinstance(getattr(arg, "__self__", None), (np.ndarray, np.generic)):
+                seen.append(arg)
+        elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            seen.append(frame.f_code)
+
+    sys.setprofile(watch)
+    try:
+        for m in shifts:
+            oracle_correlation_bounds(m, 1, [0, 4, 7], 2, [3, 10, 30], lv, 4)
+    finally:
+        sys.setprofile(None)
+    assert seen == []
 
 
 def test_oracle_depth_guard():
@@ -160,19 +189,27 @@ def oracle_cases(draw):
     return (levels, *draw(oracle_queries(levels)))
 
 
-def _set_count_reference(m, a_level, a_pts, b_level, b_pts, levels, depth):
-    """The oracle's count redone with Python sets of Python ints."""
+def _set_count_references(shifts, a_level, a_pts, b_level, b_pts, levels, depth):
+    """The oracle's count at each shift, redone with Python sets of Python ints."""
     def expand(level, points):
         out = set(points)
         for n in range(level, depth):
             out = {p + c for p in out for c in levels.offsets[n]}
         return out
 
-    moved = {p + m for p in expand(a_level, a_pts)}
-    hits = len(moved & expand(b_level, b_pts))
-    lost = sum(1 for p in moved if not 0 <= p < levels.h[depth])
-    denom = levels.cuts_product[depth]
-    return Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom))
+    a_set, b_set = expand(a_level, a_pts), expand(b_level, b_pts)
+    h, denom = levels.h[depth], levels.cuts_product[depth]
+    out = []
+    for m in shifts:
+        moved = {p + m for p in a_set}
+        hits = len(moved & b_set)
+        lost = sum(1 for p in moved if not 0 <= p < h)
+        out.append(Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom)))
+    return out
+
+
+def _set_count_reference(m, a_level, a_pts, b_level, b_pts, levels, depth):
+    return _set_count_references([m], a_level, a_pts, b_level, b_pts, levels, depth)[0]
 
 
 @settings(max_examples=150)
@@ -192,6 +229,22 @@ def test_oracle_matches_set_count_reference(case):
     levels, m, a_level, a_pts, b_level, b_pts, depth = case
     assert oracle_correlation_bounds(m, a_level, a_pts, b_level, b_pts, levels, depth) \
         == _set_count_reference(m, a_level, a_pts, b_level, b_pts, levels, depth)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_oracle_matches_set_count_reference_at_every_shift(data):
+    # every m in [-h_N - 1, h_N + 1] reaches the edges of the two runs of
+    # differences a call reads (|d + m| = g - 1, g, with g the least gap of
+    # S, and d = -m), which one drawn m per example seldom hits
+    levels = data.draw(oracle_towers())
+    _, a_level, a_pts, b_level, b_pts, depth = data.draw(oracle_queries(levels))
+    h = levels.h[depth]
+    shifts = range(-h - 1, h + 2)
+    want = _set_count_references(shifts, a_level, a_pts, b_level, b_pts, levels, depth)
+    got = [oracle_correlation_bounds(m, a_level, a_pts, b_level, b_pts, levels, depth)
+           for m in shifts]
+    assert got == want
 
 
 @settings(max_examples=60)
@@ -263,10 +316,10 @@ def test_one_search_residual_matches_per_point_searches(data):
     k = data.draw(st.integers(0, levels.depth))
     depth = data.draw(st.integers(k, levels.depth))
     pa = sorted(data.draw(st.sets(st.integers(0, levels.h[k] - 1), max_size=4)))
-    s, h = _base(levels, k, depth).s, levels.h[depth]
+    lags, h = _base(levels, k, depth), levels.h[depth]
     for x in range(-1, h + 2):
-        want = int(np.searchsorted(s, x - np.asarray(pa, dtype=np.int64)).sum())
-        assert oracle._kept(s, pa, x) == want, x
+        want = int(np.searchsorted(lags.s, x - np.asarray(pa, dtype=np.int64)).sum())
+        assert oracle._kept(lags.view, pa, x) == want, x
     for m in range(-h, h + 1):
         assert oracle_correlation_bounds(m, k, [], k, pa, levels, depth) == (0, 0)
 
@@ -318,10 +371,13 @@ def test_expand_points_rejects_overlapping_copies(sched_r3z1, chunk, monkeypatch
         oracle_correlation_bounds(0, 1, [0], 1, [0], lv, 3)
 
 
-@pytest.mark.parametrize("h0, r, dtype", [
+_DTYPE_TOWERS = pytest.mark.parametrize("h0, r, dtype", [
     (2**29 - 1, 2, np.int32),  # h_2 = 2**31 - 1, the largest int32 tower top
     (2**30, 3, np.int64),  # h_1 = 3 * 2**30 + 3 and h_2 = 9 * 2**30 + 12, past int32
 ])
+
+
+@_DTYPE_TOWERS
 def test_sumset_dtype_holds_the_tower_top(h0, r, dtype):
     # S is int32 while every point and every needle fits, else int64; the
     # lags and residuals near the top, where int32 would overflow first,
@@ -346,6 +402,24 @@ def test_sumset_dtype_holds_the_tower_top(h0, r, dtype):
             want = _set_count_reference(m, 0, a_pts, b_level, b_points, lv, 2)
             assert oracle_correlation_bounds(m, 0, a_pts, b_level, b_points, lv, 2) == want, m
             assert correlation_bounds(m, A, B, lv, 2) == want, m
+
+
+@_DTYPE_TOWERS
+def test_residual_search_reads_both_dtypes_near_the_ends(h0, r, dtype):
+    # the residual bisects a memoryview of S, whose items are Python ints on
+    # int32 and int64 alike; near 0 and near h_N it matches one numpy search
+    # per point of A_k, made on an int64 copy of S
+    lv = build_levels(Schedule("top", h0, const(r), const(0)), 2)
+    h = lv.h[2]
+    for k in (0, 1):
+        lags, hk = _base(lv, k, 2), lv.h[k]
+        assert lags.s.dtype == dtype
+        s = lags.s.astype(np.int64)
+        for pa in ([0], [hk - 1], [0, 1, hk - 2, hk - 1]):
+            for x in [*range(-2, 3), *range(hk - 2, hk + 3), *range(h - hk - 2, h - hk + 3),
+                      *range(h - 2, h + 3)]:
+                want = int(np.searchsorted(s, x - np.asarray(pa, dtype=np.int64)).sum())
+                assert oracle._kept(lags.view, pa, x) == want, (k, pa, x)
 
 
 def test_sumset_build_and_gap_check_hold_one_chunk_beside_the_sumset():
