@@ -84,6 +84,9 @@ def parse_cylinder(doc) -> CylinderSet:
     try:
         level = int(doc["level"])
         pairs = [(int(a), int(b)) for a, b in doc["intervals"]]
+        for a, b in pairs:
+            if a >= b:  # IntervalSet drops an empty pair: say so rather than scan nothing
+                raise ValueError(f"interval [{a}, {b}) is empty")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad cylinder literal {doc!r}: {exc}") from exc
     return CylinderSet(level, IntervalSet.from_pairs(pairs))

@@ -9,24 +9,24 @@ stored as disjoint intervals.  The three working identities are
 
 apply_power is the decomposition view: the part of a shifted cylinder that
 leaves its stage window is refined one stage deeper and retried, down to a
-caller-chosen max depth.  Correlations never build those pieces: at stage
-N = max(max_depth, B's stage) they count level pairs (x, y) of the stage-N
-refinements with y - x = m by a memoized recursion over each stage's table
-of offset differences (difference counts; each kernel keeps its list of
-per-stage tables and reads only the shifts t inside the reach of the
-refined sets, -top(A^n) <= t <= top(B^n)), and the points of A whose image
-leaves [0, h_N) by a rank query.  All counts stay Python ints until a
-caller builds a Fraction.  Refinement adds offsets, so
-(A + u)^N = A^N + u and the difference counts of a pair are those of its
-translation class (both cylinders moved down to start at level 0) read at
-m minus the distance between their lowest levels: one memo per class.
-Either way what is still unresolved at the max depth is reported as an
-explicit residual measure, never silently dropped.  A pair is resolved
-once per tower (_resolve_pair); a single-time correlation then pays a room
-check, one kernel read at the shallowest stage where A + m does not spill
-(one bisect; else a read and a rank query at n, or a bisect in A's own
-intervals when only one copy chain of A crosses the edge) and two reads of
-interned fractions.  A class of equal representatives memoizes E(n, t) by |t|.
+caller-chosen max depth.  Correlations never build those pieces.  Each is
+a forward shift, mu(T^m A cap B) = mu(T^-m B cap A): the side that moves is
+A for m >= 0, B for m < 0.  At stage N = max(max_depth, B's stage) they
+count level pairs (x, y) of the stage-N refinements with y - x = m by a
+memoized recursion over each stage's table of offset differences, read
+only inside the reach -top(A^n) <= t <= top(B^n), and the points of the
+moving side that pass h_N by a rank query.  Counts stay Python ints until
+a caller builds a Fraction.  Refinement adds offsets, so (A + u)^N =
+A^N + u and a pair's difference counts are those of its translation class
+(both cylinders moved down to start at level 0) read at m minus the
+distance between their lowest levels: one memo per class.  What is still
+unresolved at the max depth is an explicit residual measure, never
+dropped.  A pair is resolved once per tower (_resolve_pair); a single-time
+correlation then pays a room check, one kernel read at the shallowest
+stage where the moving side does not spill (one bisect; else a read and a
+rank query at n, or a bisect in the moving side's own intervals when only
+its top copy chain crosses the edge) and two reads of interned fractions.
+A class of equal representatives memoizes E(n, t) by |t|.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import inf
 from typing import Sequence
 
 from .errors import DepthUnavailable, Enclosure
@@ -170,7 +171,7 @@ class _Refinement:
     partial copy per stage: O((n - level) log r) per query.
     """
 
-    __slots__ = ("level", "intervals", "starts", "before", "size")
+    __slots__ = ("level", "intervals", "starts", "before", "size", "top")
 
     def __init__(self, cyl: CylinderSet):
         self.level = cyl.level
@@ -179,6 +180,7 @@ class _Refinement:
         # before[i]: number of points in the intervals ahead of interval i
         self.before = list(accumulate((b - a for a, b in self.intervals), initial=0))
         self.size = self.before[-1]
+        self.top = self.intervals[-1][1] - 1 if self.intervals else 0  # max(cyl), 0 if empty
 
     def size_at(self, levels: TowerLevels, n: int) -> int:
         return self.size * (levels.cuts_product[n] // levels.cuts_product[self.level])
@@ -272,19 +274,19 @@ class _DifferenceCounts:
         depth = levels.depth
         self.tables = [_difference_table(levels, n) if n >= base else None
                        for n in range(depth)]
-        top_a, top_b = (list(accumulate((levels.offsets[j][-1] for j in range(c.level, depth)),
-                                        initial=c.levels_set.max() if c.levels_set else 0))
-                        for c in (A, B))  # top_x[n - X.level] = top(X^n)
-        # gaps[n] = h_n - top(A^n), non-decreasing from A's stage on: A^n + u
-        # stays below h_n iff u < gaps[n].  Kept apart from the reach (empty
-        # when B is); an empty A, which loses nothing, has the stand-in top 0
-        self.gaps = [h - top for h, top in zip(levels.h, [0] * A.level + top_a)]
         # reach[n] = (-top(A^n), top(B^n)); (1, 0) is the empty window, kept
-        # below the base stage and for an empty side
+        # below the base stage and for an empty side.  gaps = (A's, B's):
+        # gaps[X][n] = h_n - top(X^n), non-decreasing from X's stage on, so
+        # X^n + u stays below h_n iff u < gaps[X][n]; no shift reaches the
+        # gaps of a pair with an empty side, which meets and loses nothing
         self.reach = [(1, 0)] * (depth + 1)
+        self.gaps = ([inf] * (depth + 1),) * 2
         if A.levels_set and B.levels_set:
-            for n in range(base, depth + 1):
-                self.reach[n] = (-top_a[n - A.level], top_b[n - B.level])
+            top_a, top_b = ([0] * c.level + list(accumulate(  # top_x[n] = top(X^n), n >= X.level
+                (levels.offsets[j][-1] for j in range(c.level, depth)), initial=c.levels_set.max()))
+                for c in (A, B))
+            self.gaps = tuple([h - top for h, top in zip(levels.h, tops)] for tops in (top_a, top_b))
+            self.reach[base:] = [(-a, b) for a, b in zip(top_a[base:], top_b[base:])]
         self.fold = A == B
         self.memo: list[dict[int, int]] = [{} for _ in range(depth + 1)]
 
@@ -346,13 +348,15 @@ class _ResolvedPair:
     With A0 = A - ua, B0 = B - ub and shift = ub - ua, E_{A,B}(n, t) =
     E_{A0,B0}(n, t - shift), so every pair with the same stages and
     interval shapes shares one kernel, kept on the tower as ("diff", A0,
-    B0); it depends on neither m nor the depth budget.  The residual reads
-    the kernel's A0 ranks at x - ua, since A^N = A0^N + ua, and its gaps.
+    B0); it depends on neither m nor the depth budget.  Every correlation
+    is a forward shift: mu(T^m A cap B) = mu(T^-m B cap A), so the side
+    that moves is A for m >= 0 and B for m < 0, and sides[m < 0] holds its
+    kernel refinement X0, its lowest level u and its kernel gaps.
     Both cylinders are validated here, once per pair: the tower is
     immutable and nothing is cached for a pair that fails.
     """
 
-    __slots__ = ("kernel", "ua", "shift", "gaps", "top")
+    __slots__ = ("kernel", "shift", "sides")
 
     def __init__(self, A: CylinderSet, B: CylinderSet, levels: TowerLevels):
         A.validate(levels)
@@ -363,39 +367,33 @@ class _ResolvedPair:
         kernel = levels._cache.get(class_key)
         if kernel is None:
             kernel = levels._cache[class_key] = _DifferenceCounts(A0, B0, levels)
-        self.kernel, self.ua, self.shift, self.gaps = kernel, ua, ub - ua, kernel.gaps
-        self.top = A0.levels_set.max() if A0.levels_set else 0
+        self.kernel, self.shift = kernel, ub - ua
+        self.sides = ((kernel.a, ua, kernel.gaps[0]), (kernel.b, ub, kernel.gaps[1]))
 
     def lost(self, levels: TowerLevels, n: int, m: int) -> int:
-        """#{x in A^n : x + m outside [0, h_n)}.  A^n lies in [ua, h_n), so
-        only the side m moves toward is left: 0 when A^n + m stays on it.
-        Else, when the edge cuts only A's top copy chain (A0 plus the last
-        offset of every stage; m >= 0) or its bottom one (A0 itself, below
-        the second offset of A's stage; m < 0), one bisect in A0's intervals,
-        and otherwise one rank walk."""
-        a, ua = self.kernel.a, self.ua
-        if m >= 0:
-            gap = self.gaps[n]
-            if m + ua < gap:
-                return 0
-            y = gap + self.top - m - ua  # h_n - m - ua less the top chain's offsets
-            if y >= 0:
-                return a.size - a.rank(levels, a.level, y)
-            return a.size_at(levels, n) - a.rank(levels, n, levels.h[n] - m - ua)
-        x = -m - ua
-        if x <= 0:
+        """#{x in X^n : x + |m| >= h_n}, X the side that moves.  X^n lies in
+        [u, h_n), so only its top edge is crossed: 0 when X^n + |m| stays
+        below h_n.  Else, when the edge cuts only X's top copy chain (X0 plus
+        the last offset of every stage), one bisect in X0's intervals, and
+        otherwise one rank walk of X0 at h_n - |m| - u."""
+        x, u, gaps = self.sides[m < 0]
+        k = abs(m) + u
+        gap = gaps[n]
+        if k < gap:
             return 0
-        return a.rank(levels, a.level if x <= levels.offsets[a.level][1] else n, x)
+        y = gap + x.top - k  # h_n - k less the top chain's offsets
+        if y >= 0:
+            return x.size - x.rank(levels, x.level, y)
+        return x.size_at(levels, n) - x.rank(levels, n, levels.h[n] - k)
 
     def counts(self, levels: TowerLevels, n: int, m: int) -> tuple[int, int]:
-        """(hits, lost) at stage n.  If A^s + m stays in [0, h_s) at a stage s
-        in [base, n], T^m A = [A^s + m]_s (the third identity): nothing is
-        lost and hits = E(s, m - shift) scaled to stage n.  The first such s
-        is the first with m + ua < gaps[s] for m >= 0, the base when
-        ua + m >= 0 for m < 0; past n, hits and lost are counted at n."""
-        kernel, ua = self.kernel, self.ua
-        s = (bisect_right(self.gaps, m + ua, kernel.base, n + 1) if m >= 0
-             else kernel.base if ua + m >= 0 else n + 1)
+        """(hits, lost) at stage n.  If X^s + |m| stays in [0, h_s) at a stage
+        s in [base, n], T^|m| X = [X^s + |m|]_s (the third identity): nothing
+        is lost and hits = E(s, m - shift) scaled to stage n.  The first such
+        s is one bisect over X's gaps; past n, hits and lost are counted at n."""
+        kernel = self.kernel
+        _, u, gaps = self.sides[m < 0]
+        s = bisect_right(gaps, abs(m) + u, kernel.base, n + 1)
         if s > n:
             return kernel.count(levels, n, m - self.shift), self.lost(levels, n, m)
         cuts = levels.cuts_product
@@ -415,33 +413,23 @@ def _resolve_pair(A: CylinderSet, B: CylinderSet, levels: TowerLevels,
     return pair
 
 
-def _correlation_counts(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
-                        max_depth: int) -> tuple[int, int, int]:
-    """(hits, lost, n): mu(T^m A cap B) in units of one stage-n level.
-
-    n = max(max_depth, B.level) is the one stage everything is counted in
-    (_ResolvedPair.counts reads a shallower stage when nothing spills there);
-    hits = E(n, m) counts the pairs (x, y) in A^n x B^n with y = x + m, and
-    lost the points of A^n whose image x + m leaves [0, h_n).
-    """
-    n = max(max_depth, B.level)
-    return (*_resolve_pair(A, B, levels, max_depth).counts(levels, n, m), n)
-
-
 def correlation_bounds(m: int, A: CylinderSet, B: CylinderSet, levels: TowerLevels,
                        max_depth: int) -> Enclosure:
     """mu(T^m A cap B) as an exact enclosure; degenerate when fully resolved.
 
     This is the matrix coefficient <U^m 1_A, 1_B> whose decay over mixing
     intervals is the quantity of interest.  All is counted at one stage
-    n = max(max_depth, B.level) (_correlation_counts): the lower end counts
-    the pairs (x, y) in A^n x B^n with y = x + m (difference counts
-    E(n, m)); the upper end adds the residual, the points of A^n whose
-    image x + m leaves [0, h_n).  The result equals
-    intersect_measure(apply_power(m, A, ..., n), B, ...) plus that
-    decomposition's residual.  Its ends are interned (TowerLevels.level_fractions).
+    n = max(max_depth, B.level) (_ResolvedPair.counts reads a shallower one
+    when nothing spills there): the lower end counts the pairs (x, y) in
+    A^n x B^n with y = x + m (difference counts E(n, m)); the upper end adds
+    the residual, the points of the side that
+    moves, X = A for m >= 0 or B for m < 0, that pass h_n under T^|m|.  The
+    result equals intersect_measure(apply_power(|m|, X, ..., n), the other
+    side, ...) plus that decomposition's residual, and a pair with an empty
+    side reads 0.  Its ends are interned (TowerLevels.level_fractions).
     """
-    hits, lost, n = _correlation_counts(m, A, B, levels, max_depth)
+    n = max(max_depth, B.level)
+    hits, lost = _resolve_pair(A, B, levels, max_depth).counts(levels, n, m)
     ends = levels.level_fractions(n)
     lower = ends[hits]
     return tuple.__new__(Enclosure, (lower, ends[hits + lost] if lost else lower))

@@ -16,7 +16,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cylinders import (
     CylinderSet,
-    _correlation_counts,
     _resolve_pair,
     apply_power,
     correlation,
@@ -131,9 +130,10 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     Every stage's times are sampled before any pair is resolved, so a stage
     past the tower or past MAX_SAMPLE_TIMES fails first.  Pairs are resolved
     once, in test-set order, to their handles (_resolve_pair); residuals
-    are counted once per (A, n) and time.  Each sup is taken on the
-    integer counts of _correlation_counts scaled to one level of the
-    deepest stage counted; only the two ends become Fractions.
+    are counted once per time and (X, n), X the side that moves (A for
+    power > 0, else B).  Each sup is taken on the integer counts of the
+    handles scaled to one level of the deepest stage counted; only the two
+    ends become Fractions.
     """
     if power == 0:
         raise ValueError("power must be non-zero")
@@ -146,13 +146,14 @@ def scan_mixing_intervals(levels: TowerLevels, test_sets: Sequence[Pair],
     resolved = [(_resolve_pair(A, B, levels, max_depth), max(max_depth, B.level))
                 for A, B in test_sets] if samples else []
     q = cuts[max((n for _, n in resolved), default=0)]
-    slots: dict[tuple[CylinderSet, int], int] = {}  # (A, n) -> its index in residuals
+    slots: dict[tuple[CylinderSet, int], int] = {}  # (X, n) -> its index in residuals
     residuals, pairs = [], []
-    for (A, _), (pair, n) in zip(test_sets, resolved):
-        if (A, n) not in slots:
-            slots[A, n] = len(residuals)
-            residuals.append((pair, n))
-        pairs.append((pair.kernel, pair.shift, n, q // cuts[n], slots[A, n]))
+    for (A, B), (pair, n) in zip(test_sets, resolved):
+        if A.levels_set and B.levels_set:  # else the pair meets nothing at any time
+            slot = slots.setdefault((A if power > 0 else B, n), len(residuals))
+            if slot == len(residuals):
+                residuals.append((pair, n))
+            pairs.append((pair.kernel, pair.shift, n, q // cuts[n], slot))
     records = []
     for stage, times in samples:
         values = []
@@ -175,7 +176,7 @@ class _CesaroSeries:
     """Every Cesaro norm of one (k, B, max_depth), from integer running sums.
 
     All is counted at the one stage n = max(max_depth, B.level) of
-    _correlation_counts, where one level has measure 1/q, q = cuts_product[n]:
+    correlation_bounds, where one level has measure 1/q, q = cuts_product[n]:
     size = |B^n| = q mu(B), and s0, s1 are the integer sums of the hit
     counts h_p = q c_p and of p h_p.  The length-l norm is then the one
     Fraction (l size + 2 (l s0 - s1)) / (l^2 q).  Lengths are finished in increasing
@@ -198,7 +199,8 @@ class _CesaroSeries:
         B = self.B
         while len(self.norms) < l:
             p = len(self.norms)
-            hits, lost, n = _correlation_counts(p * self.k, B, B, levels, self.max_depth)
+            n = max(self.max_depth, B.level)
+            hits, lost = _resolve_pair(B, B, levels, self.max_depth).counts(levels, n, p * self.k)
             q = levels.cuts_product[n]
             if lost:
                 raise DepthExhausted(Enclosure(Fraction(hits, q), Fraction(hits + lost, q)))
@@ -242,8 +244,7 @@ def cesaro_norm(k: int, l: int, B: CylinderSet, levels: TowerLevels,
     c_p = mu(T^{pk} B cap B), S0(l) = sum_{0<p<l} c_p and
     S1(l) = sum_{0<p<l} p c_p.  So the norm depends on |k| only: one series
     per (|k|, B, max_depth), kept on the TowerLevels, serves k, -k and every
-    length.  It counts forward shifts, since mass at the tower base spills
-    below it under every T^{-p}, at any budget.
+    length.
     """
     if l < 1:
         raise ValueError("average length l must be >= 1")
@@ -400,12 +401,14 @@ class StageTermDecomposition:
                         + (1/r) sum_{j=0}^{r-d-2} corr(-j, A cap [j, h_k), B)
                         + top_term.
 
-    Clipping A to [j, h_k) removes the wraparound below the tower base,
-    which no single subtower realizes; on cylinders that avoid the bottom
-    levels the clipped terms coincide with the plain correlations and the
-    identity reads exactly like the limit statement, coefficient d/r on the
-    adjoint term included.  The clipped terms and the exactly resolved top
-    spill are the finite-stage content of the vanishing error term.
+    Clipping A to [j, h_k) drops what T^-j carries off a subtower's bottom
+    onto the column below (its spacers, or its top levels where it has
+    fewer than j spacers), which no single subtower realizes.  Where every
+    column has j spacers or more, and on cylinders that avoid the bottom
+    levels, the clipped terms are the plain correlations and the identity
+    reads exactly like the limit statement, coefficient d/r on the adjoint
+    term included.  The clipped terms and the exactly resolved top spill
+    are the finite-stage content of the vanishing error term.
     """
 
     stage: int
@@ -449,10 +452,7 @@ def stage_term_decomposition(stage: int, A: CylinderSet, B: CylinderSet,
 
     def clean(j):
         """corr(-j, A cap [j, h), B): in range at this stage, always exact."""
-        clipped = set_a.clip(j, h)
-        if not clipped:
-            return Fraction(0)
-        return correlation(-j, CylinderSet(stage, clipped), B, levels, max_depth)
+        return correlation(-j, CylinderSet(stage, set_a.clip(j, h)), B, levels, max_depth)
 
     prefix_term = Fraction(d, r) * clean(1) if d else Fraction(0)
     tail_terms = tuple(Fraction(1, r) * clean(j) for j in range(0, r - d - 1))

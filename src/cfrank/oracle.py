@@ -22,10 +22,13 @@ stage k, collisions of T^m A with B are
 
 each R(|d|) counted once per (k, N) by merging S + d with S, _CHUNK
 points of S + d at a time; a lag 0 < |d| < g, g the least gap of S, or
-past the tower, is 0 without a merge.  A pair keeps its refined points and
-its distinct differences p - q, sorted, with their multiplicities, so a
-warm call is plain Python: R(0) times the multiplicity of -m, the lags of
-the two runs of differences with |p - q + m| >= g, two bisects for the
+past the tower, is 0 without a merge.  As on the main path, every shift is
+counted forward, mu(T^m A cap B) = mu(T^-m B cap A), so the points that
+leave the tower are those of the side that moves, A for m >= 0 and B for
+m < 0.  A pair keeps both sides' refined points and its distinct
+differences p - q, sorted, with their multiplicities, so a warm call is
+plain Python: R(0) times the multiplicity of -m, the lags of the two runs
+of differences with |p - q + m| >= g, two bisects for the moving side's
 residual (_kept) and interned ends.  Every search bisects a memoryview of
 S, whose items are Python ints whatever S's dtype; only the merge slices
 are numpy, and they keep S's dtype.  expand_points returns int64 points
@@ -162,8 +165,9 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
     same [lower, upper] enclosure the main path reports at that depth.
 
     ("oracle-pair", a_level, a_pts, b_level, b_pts, depth) keeps one pair
-    on the tower: A's points refined to stage k = max(a_level, b_level),
-    sorted, the distinct differences p - q, sorted, with a dict of their
+    on the tower: A's and B's points refined to stage k = max(a_level,
+    b_level), sorted (both empty when one is: the pair meets nothing), the
+    distinct differences p - q, sorted, with a dict of their
     multiplicities, the (k, depth) lag counts of the ("oracle", k, depth)
     entry and the interned ends.  Its points are validated once, when it
     is built.
@@ -175,13 +179,16 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
         k = max(a_level, b_level)
         pa = expand_points(a_level, a_pts, k, levels).tolist()
         pb = expand_points(b_level, b_pts, k, levels).tolist()
+        if not (pa and pb):
+            pa = pb = []
         mult = Counter(p - q for p in pa for q in pb)
-        entry = levels._cache[key] = (pa, sorted(mult), dict(mult), _base(levels, k, depth),
-                                      levels.level_fractions(depth))
-    pa, diffs, mult, lags, ends = entry
+        entry = levels._cache[key] = ((pa, pb), sorted(mult), dict(mult),
+                                      _base(levels, k, depth), levels.level_fractions(depth))
+    sides, diffs, mult, lags, ends = entry
     view, h, g = lags.view, lags.h, lags.gap
-    size = len(pa) * len(view)
     m = int(m)
+    moving = sides[m < 0]
+    size = len(moving) * len(view)
     if abs(m) >= h:  # every point leaves the tower
         return tuple.__new__(Enclosure, (ends[0], ends[size]))
     hits = mult.get(-m, 0) * len(view)  # R(0) = |S|
@@ -190,6 +197,6 @@ def oracle_correlation_bounds(m: int, a_level: int, a_points, b_level: int, b_po
         hits += mult[d] * lags[-d - m]
     for d in diffs[bisect_left(diffs, g - m, i):]:  # d + m >= g
         hits += mult[d] * lags[d + m]
-    lost = size - _kept(view, pa, h - m) if m >= 0 else _kept(view, pa, -m)
+    lost = size - _kept(view, moving, h - abs(m))
     lower = ends[hits]
     return tuple.__new__(Enclosure, (lower, ends[hits + lost] if lost else lower))

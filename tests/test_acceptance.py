@@ -271,10 +271,9 @@ def test_criterion_7_weak_limit_coefficient(_clock):
             assert dec.piece_terms[0] == dec.prefix_term
             assert dec.piece_terms[1] == dec.tail_terms[0]
             assert dec.piece_terms[2] == dec.top_term
-            if a >= 1:
-                # away from the base the clipped term is the plain adjoint term
-                plain = correlation(-1, A, B, lv, 5)
-                assert dec.prefix_term == Fraction(1, 3) * plain
+            # every column carries spacers, so T^-1 of A's level 0 meets no
+            # copy of B: the clipped term is the plain adjoint term, base included
+            assert dec.prefix_term == Fraction(1, 3) * correlation(-1, A, B, lv, 5)
     _report(7, "weak-limit coefficient identity", _clock())
 
 

@@ -486,6 +486,45 @@ def test_tests_not_a_list_of_pairs_exit_2(command, tests, sched_path, tmp_path, 
     assert err.startswith("cfrank: ") and "Traceback" not in err
 
 
+def test_scan_reads_the_same_sups_at_power_minus_one(tmp_path):
+    # the canonical set is closed under swapping A and B, and T^-m A cap B is
+    # counted as T^m B cap A: power -1 reads power 1's sups at every time
+    sched = tmp_path / "c5.json"
+    sched.write_text(json.dumps({"name": "c5", "h0": "1",
+                                 "r": {"kind": "affine", "base": "3", "step": "1"},
+                                 "z": {"kind": "const", "value": "1"}}))
+    stages = {}
+    for power in ("1", "-1"):
+        code, text = run_main(["scan-mixing", "--schedule", str(sched), "--depth", "6",
+                               "--stages", "2:4", "--samples", "4", "--tests", "canonical",
+                               "--power", power], tmp_path / f"scan{power}.json")
+        assert code == 0
+        stages[power] = json.loads(text)["stages"]
+    assert stages["1"] == stages["-1"]
+    assert [(s["max_lower"], s["max_upper"]) for s in stages["-1"]][0] == (
+        {"numerator": "23", "denominator": "288"}, {"numerator": "101", "denominator": "1260"})
+
+
+@pytest.mark.parametrize("pair", [[5, 1], [2, 2]])
+@pytest.mark.parametrize("command, option", [
+    (["scan-mixing", "--stages", "0:1"], "--tests"),
+    (["cesaro", "--k", "2", "--l", "2"], "--cylinder"),
+])
+def test_empty_interval_pair_is_a_bad_cylinder_exit_2(command, option, pair, sched_path,
+                                                      tmp_path, capsys):
+    # [a, b) with a >= b used to be dropped, leaving an empty cylinder that
+    # every correlation met with 0
+    bad = {"level": 0, "intervals": [pair]}
+    value = json.dumps([[{"level": 0, "intervals": [[0, 1]]}, bad]] if option == "--tests"
+                       else bad)
+    code, text = run_main(command + ["--schedule", sched_path, "--depth", "2", option, value],
+                          tmp_path / "x.out")
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cfrank: bad cylinder literal") and f"[{pair[0]}, {pair[1]}) is empty" in err
+
+
 @pytest.mark.parametrize("command, option, value", [
     (["scan-mixing"], "--stages", "0:x"),
     (["weak-limits", "--target", '{"0": "1/3"}'], "--times", "4,x"),

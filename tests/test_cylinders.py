@@ -22,7 +22,7 @@ from cfrank import (
     product_correlation,
     refine,
 )
-from cfrank.cylinders import _difference_table, _ResolvedPair
+from cfrank.cylinders import PieceDecomposition, _difference_table, _ResolvedPair
 from cfrank.errors import DepthExhausted, DepthUnavailable
 from cfrank.intervals import IntervalSet
 from cfrank.oracle import oracle_correlation_bounds
@@ -30,6 +30,24 @@ from cfrank.oracle import oracle_correlation_bounds
 
 def pts(level, *points):
     return CylinderSet.from_points(level, points)
+
+
+def forward_decomposition(m, A, B, levels, n):
+    """mu(T^m A cap B) at stage n as (value, value + residual), from
+    apply_power's decomposition of the side that moves: A for m >= 0 and,
+    since mu(T^m A cap B) = mu(T^-m B cap A), B for m < 0, met with the
+    other side by intersect_measure.  A pair with an empty side reads 0."""
+    if not (A.levels_set and B.levels_set):
+        return Fraction(0), Fraction(0)
+    moving, other = (A, B) if m >= 0 else (B, A)
+    if moving.level == n:  # apply_power needs a deeper budget: the one stage by hand
+        kept = moving.levels_set.clip(0, levels.h[n] - abs(m))
+        dec = PieceDecomposition((CylinderSet(n, kept.shift(abs(m))),), Fraction(
+            moving.levels_set.cardinality - kept.cardinality, levels.cuts_product[n]))
+    else:
+        dec = apply_power(abs(m), moving, levels, n)
+    value = intersect_measure(dec, other, levels)
+    return value, value + dec.residual
 
 
 def union_at(dec, level, lv):
@@ -228,9 +246,8 @@ def test_correlation_depth_exhausted_interval(levels_r3_zramp):
 
 
 def test_inversion_symmetry(levels_r3_zramp):
-    # mu(T^m A cap B) = mu(T^-m B cap A); resolution depth may differ between
-    # the two directions, so enclosures must agree whenever both are exact
-    # and must always bracket a common value.
+    # mu(T^m A cap B) = mu(T^-m B cap A), and both directions count the same
+    # forward shift at the same stage: equal enclosures, resolved or not
     lv = levels_r3_zramp
     rng = random.Random(31)
     exact_cases = 0
@@ -239,16 +256,19 @@ def test_inversion_symmetry(levels_r3_zramp):
         b = pts(1, *rng.sample(range(lv.h[1]), k=2))
         m = rng.randint(-9, 9)
         fwd = correlation_bounds(m, a, b, lv, 4)
-        bwd = correlation_bounds(-m, b, a, lv, 4)
-        assert fwd[0] <= bwd[1] and bwd[0] <= fwd[1]
-        if fwd[0] == fwd[1] and bwd[0] == bwd[1]:
-            assert fwd == bwd
-            exact_cases += 1
+        assert fwd == correlation_bounds(-m, b, a, lv, 4)
+        exact_cases += fwd[0] == fwd[1]
     assert exact_cases >= 5
     # pairs staying in range both ways resolve exactly in both directions
     a, b = pts(1, 3, 5), pts(1, 4, 8)
     for m in (1, 2, 3):
         assert correlation(m, a, b, lv, 4) == correlation(-m, b, a, lv, 4)
+    # A at the tower base: T^-2 A cap B counts T^2 B cap A, exact at every budget
+    lv = build_levels(Schedule("t", 1, const(3), const(1)), 8)
+    a, b = pts(1, 0), pts(1, 0, 2)
+    for max_depth in (4, 6, 8):
+        assert correlation_bounds(-2, a, b, lv, max_depth) == (0, 0)
+        assert correlation_bounds(2, b, a, lv, max_depth) == (0, 0)
 
 
 @settings(max_examples=40)
@@ -304,20 +324,19 @@ def test_kernel_matches_piece_decomposition(case):
     levels, A, B, ms, top = case
     for max_depth in range(A.level + 1, top + 1):
         for m in ms:  # a budget below B's stage counts at B's stage
-            dec = apply_power(m, A, levels, max(max_depth, B.level))
-            value = intersect_measure(dec, B, levels)
             assert correlation_bounds(m, A, B, levels, max_depth) \
-                == (value, value + dec.residual)
+                == forward_decomposition(m, A, B, levels, max(max_depth, B.level))
 
 
 @settings(max_examples=60)
 @given(st.data(), st.sampled_from(["both", "empty A", "empty B", "B past the budget",
                                    "B is a translate of A"]))
 def test_every_shift_matches_the_decomposition(data, kind):
-    # the resolved pair's no-spill stage, its residual and the interned
-    # ends, at every m of [-h_n, h_n]: an empty B has an empty kernel reach,
-    # while A can still leave the tower; a translate of A has the class of
-    # equal representatives, whose memo is keyed by |t|
+    # the resolved pair's no-spill stage, the residual of the side that
+    # moves and the interned ends, at every m of [-h_n, h_n]: a pair with an
+    # empty side reads 0 at every m, though the other side could leave the
+    # tower; a translate of A has the class of equal representatives, whose
+    # memo is keyed by |t|
     levels = data.draw(small_towers(st.integers(2, 3)))
 
     def cylinder(level, empty):
@@ -339,13 +358,38 @@ def test_every_shift_matches_the_decomposition(data, kind):
     n = max(max_depth, B.level)
     ends, q = levels.level_fractions(n), levels.cuts_product[n]
     for m in range(-levels.h[n], levels.h[n] + 1):
-        dec = apply_power(m, A, levels, n)
-        value = intersect_measure(dec, B, levels)
         got = correlation_bounds(m, A, B, levels, max_depth)
-        assert got == (value, value + dec.residual), m
+        assert got == forward_decomposition(m, A, B, levels, n), m
         for end in got:
             k = end * q
             assert k.denominator == 1 and end is ends[int(k)] == Fraction(int(k), q)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_swapping_the_sides_negates_the_shift(data):
+    # mu(T^m A cap B) = mu(T^-m B cap A): with a budget past both stages the
+    # two calls count the same forward shift at one stage, so the main path
+    # and the oracle each read equal enclosures, resolved or not, at every m
+    # of [-h_N - 1, h_N + 1]; A or B touches level 0 of its stage
+    levels = data.draw(small_towers(st.integers(2, 3)))
+
+    def cylinder(level, base):
+        h = levels.h[level]
+        points = data.draw(st.sets(st.integers(0, h - 1), min_size=1, max_size=3))
+        return CylinderSet.from_points(level, points | {0} if base else points)
+
+    base = data.draw(st.sampled_from(["A", "B", "both"]))
+    A = cylinder(data.draw(st.integers(0, levels.depth - 1)), base != "B")
+    B = cylinder(data.draw(st.integers(0, levels.depth - 1)), base != "A")
+    depth = data.draw(st.integers(max(A.level, B.level) + 1, levels.depth))
+    a_pts, b_pts = list(A.levels_set.points()), list(B.levels_set.points())
+    for m in range(-levels.h[depth] - 1, levels.h[depth] + 2):
+        main = correlation_bounds(m, A, B, levels, depth)
+        assert main == correlation_bounds(-m, B, A, levels, depth), m
+        orc = oracle_correlation_bounds(m, A.level, a_pts, B.level, b_pts, levels, depth)
+        assert orc == oracle_correlation_bounds(-m, B.level, b_pts, A.level, a_pts,
+                                                levels, depth) == main, m
 
 
 @settings(max_examples=100)
@@ -489,7 +533,7 @@ def test_kernel_counts_inside_and_past_the_reach(data):
 
     A, B = cylinder(), cylinder()
     pair = _ResolvedPair(A, B, levels)
-    kernel, ua, ub = pair.kernel, pair.ua, pair.ua + pair.shift
+    kernel, ua, ub = pair.kernel, pair.sides[0][1], pair.sides[1][1]
     A0, B0 = (CylinderSet(c.level, c.levels_set.shift(-u)) for c, u in ((A, ua), (B, ub)))
     for n in range(max(A.level, B.level), levels.depth + 1):
         xs = list(refine(A0, n, levels).levels_set.points())

@@ -52,13 +52,17 @@ schedules = st.builds(
 def correlation_cases(draw):
     levels = build_levels(draw(schedules), 5)
 
-    def cylinder():  # up to stage 2, so some budgets lie below B's stage
+    def cylinder(base=False):  # up to stage 2, so some budgets lie below B's stage
         level = draw(st.integers(0, 2))
         pts = draw(st.sets(st.integers(0, levels.h[level] - 1), min_size=1, max_size=3))
-        return CylinderSet.from_points(level, pts)
+        return CylinderSet.from_points(level, pts | {0} if base else pts)
 
-    A, B = cylinder(), cylinder()
-    m = draw(st.integers(-3 * levels.h[2], 3 * levels.h[2]))
+    if draw(st.booleans()):  # A at the tower base, shifted down
+        A, B = cylinder(base=True), cylinder()
+        m = draw(st.integers(-3 * levels.h[2], -1))
+    else:
+        A, B = cylinder(), cylinder()
+        m = draw(st.integers(-3 * levels.h[2], 3 * levels.h[2]))
     return levels, A, B, m
 
 

@@ -146,8 +146,11 @@ def test_scan_integer_sups_match_pairwise_enclosures(levels_r3_zramp, case, powe
         # B at stage 3, past the budget 2: counted at stage 3, the rest at 2
         "deep-b": [(pts(0, 0), pts(1, 0, 4)), (pts(1, 2, 5), pts(3, 7, 40, 41)),
                    (pts(1, 6), pts(2, 0, 13))],
+        # each empty pair comes first among the pairs sharing its moving side,
+        # whose residual it must not stand for
         "empty-cylinder": [(CylinderSet.from_points(1, []), pts(1, 3)),
-                           (pts(1, 2), CylinderSet.from_points(2, [])), (pts(1, 1), pts(2, 5))],
+                           (pts(1, 2), CylinderSet.from_points(2, [])), (pts(1, 1), pts(2, 5)),
+                           (pts(1, 2), pts(1, 3)), (pts(1, 8), pts(1, 3))],
         "empty-set": [],
     }[case]
     rep = scan_mixing_intervals(lv, tests, [1, 2, 3], 6, power, 2)
@@ -193,7 +196,8 @@ def test_scan_raises_the_error_of_its_first_bad_pair(levels_r3_zramp, bad, max_d
 @st.composite
 def scan_rows(draw, levels):
     """(tests, power, max_depth): rows of pairs sharing their A, like a
-    scan-deep item, shuffled together, with a B past the budget."""
+    scan-deep item, and columns sharing their B (the side that moves for a
+    negative power), shuffled together, with a B past the budget."""
     max_depth = draw(st.sampled_from([2, 3]))
 
     def cylinder(level):
@@ -205,6 +209,9 @@ def scan_rows(draw, levels):
     for _ in range(draw(st.integers(1, 3))):
         A = cylinder(draw(st.integers(0, 1)))
         tests += [(A, cylinder(draw(st.integers(0, 2)))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        B = cylinder(draw(st.integers(0, 2)))
+        tests += [(cylinder(draw(st.integers(0, 1))), B) for _ in range(draw(st.integers(1, 3)))]
     tests.append((tests[0][0], cylinder(max_depth + 1)))
     tests = draw(st.permutations(tests))
     return tests, draw(st.sampled_from([1, -1, 2, -2])), max_depth
@@ -234,15 +241,12 @@ def test_scan_rejects_no_samples(levels_r3_zramp, samples):
 
 
 def test_scan_transpose_symmetry(levels_r3_zramp):
-    # exact entries for j and -j with transposed test sets agree
+    # j and -j with transposed test sets count the same forward shifts
     lv = levels_r3_zramp
     a, b = pts(1, 3, 5), pts(1, 4, 8)
     fwd = scan_mixing_intervals(lv, [(a, b)], [0], 8, 2, 5)
     bwd = scan_mixing_intervals(lv, [(b, a)], [0], 8, -2, 5)
-    for (flo, fhi), (blo, bhi) in zip(fwd.stages[0].values, bwd.stages[0].values):
-        assert flo <= bhi and blo <= fhi
-        if flo == fhi and blo == bhi:
-            assert flo == blo
+    assert fwd.stages == bwd.stages
 
 
 def test_scan_repeated_runs_give_identical_report(sched_r3_zramp):
@@ -567,14 +571,14 @@ def test_weak_limit_propagates_depth_exhausted(levels_r3_zramp):
 
 
 def test_weak_limit_bounds_negative_coefficient(sched_r3z1):
-    """|corr(-10) + corr(25)| with corr(-10) in [1/9, 2/9] and corr(25) in
-    [0, 2/9] at max depth 2: the enclosure is [1/9, 4/9] and holds the
-    depth-6 enclosure of the same quantity."""
+    """|corr(-10) + corr(25)| with corr(-10) = 1/9 (counted forward, as
+    corr(10)) and corr(25) in [0, 2/9] at max depth 2: the enclosure is
+    [1/9, 1/3] and holds the depth-6 enclosure of the same quantity."""
     lv = build_levels(sched_r3z1, 6)
     a = pts(1, 0)
     target = WeakLimitTarget({-25: -1})
     (shallow,) = weak_limit_discrepancy_bounds([-10], target, [(a, a)], lv, 2)
-    assert shallow == (Fraction(1, 9), Fraction(4, 9))
+    assert shallow == (Fraction(1, 9), Fraction(1, 3))
     (deep,) = weak_limit_discrepancy_bounds([-10], target, [(a, a)], lv, 6)
     assert shallow.lower <= deep.lower <= deep.upper <= shallow.upper
 
@@ -656,6 +660,22 @@ def test_stage_term_decomposition_all_pairs(levels_partial):
             assert dec.piece_terms[0] == dec.prefix_term  # d = 1 prefix subtower
             assert dec.piece_terms[1] == dec.tail_terms[0]
             assert dec.piece_terms[2] == dec.top_term
+
+
+def test_stage_term_decomposition_clips_a_where_columns_carry_no_spacers():
+    # z = 0: column 0 carries no spacers, so T^-j moves the levels below j of
+    # copy 1 onto the top of copy 0, where B's copies lie; the plain adjoint
+    # terms then differ from the clipped ones, and only the clipped ones
+    # close the identity
+    lv = build_levels(Schedule("z0", 2, const(5), const(0)), 7)
+    r = lv.r[0]
+    for a in range(lv.h[0]):
+        for b in range(lv.h[0]):
+            A, B = pts(0, a), pts(0, b)
+            dec = stage_term_decomposition(0, A, B, lv, 7)
+            assert dec.lhs == dec.rhs == sum(dec.piece_terms, Fraction(0))
+            plain = [Fraction(1, r) * correlation(-j, A, B, lv, 7) for j in range(r - 1)]
+            assert list(dec.tail_terms) != plain
 
 
 def test_stage_term_decomposition_depth_exhausted():

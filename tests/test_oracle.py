@@ -136,7 +136,7 @@ def test_oracle_huge_m_matches_main_path(m):
     lv = build_levels(Schedule("t", 1, const(3), const(1)), 5)
     A, B = CylinderSet.from_points(1, [0, 4]), CylinderSet.from_points(2, [3, 30])
     want = correlation_bounds(m, A, B, lv, 3)
-    assert want == (0, A.measure(lv))
+    assert want == (0, (A if m >= 0 else B).measure(lv))  # the side that moves leaves
     assert oracle_correlation_bounds(m, 1, [0, 4], 2, [3, 30], lv, 3) == want
 
 
@@ -190,7 +190,9 @@ def oracle_cases(draw):
 
 
 def _set_count_references(shifts, a_level, a_pts, b_level, b_pts, levels, depth):
-    """The oracle's count at each shift, redone with Python sets of Python ints."""
+    """The oracle's count at each shift, redone with Python sets of Python ints:
+    the side that moves is A for m >= 0 and B for m < 0, since mu(T^m A cap B)
+    = mu(T^-m B cap A), and a pair with an empty side meets nothing."""
     def expand(level, points):
         out = set(points)
         for n in range(level, depth):
@@ -200,9 +202,12 @@ def _set_count_references(shifts, a_level, a_pts, b_level, b_pts, levels, depth)
     a_set, b_set = expand(a_level, a_pts), expand(b_level, b_pts)
     h, denom = levels.h[depth], levels.cuts_product[depth]
     out = []
+    if not (a_set and b_set):
+        a_set = b_set = set()
     for m in shifts:
-        moved = {p + m for p in a_set}
-        hits = len(moved & b_set)
+        moving, other = (a_set, b_set) if m >= 0 else (b_set, a_set)
+        moved = {p + abs(m) for p in moving}
+        hits = len(moved & other)
         lost = sum(1 for p in moved if not 0 <= p < h)
         out.append(Enclosure(Fraction(hits, denom), Fraction(hits + lost, denom)))
     return out
@@ -289,8 +294,9 @@ def test_oracle_pair_entry_ignores_how_the_points_are_given(data):
 @settings(max_examples=40)
 @given(st.data())
 def test_one_sided_residuals_match_a_brute_force_count(data):
-    # A^N lies in [0, h_N), so only one side can be left; every m in
-    # [-h_N - 1, h_N + 1] is checked, 0 and +-(h_N - 1) among them
+    # A^N lies in [0, h_N) and every shift moves a side up, so only the top
+    # edge can be crossed; every m in [-h_N - 1, h_N + 1] is checked, 0 and
+    # +-(h_N - 1) among them
     levels = data.draw(oracle_towers())
     level = data.draw(st.integers(0, levels.depth - 1))
     pts = data.draw(st.lists(st.integers(0, levels.h[level] - 1), max_size=5))
@@ -300,11 +306,12 @@ def test_one_sided_residuals_match_a_brute_force_count(data):
     pair = _resolve_pair(A, A, levels, depth)
     points = expand_points(level, pts, depth, levels)
     for m in range(-h - 1, h + 2):
-        want = int(np.count_nonzero((points + m < 0) | (points + m >= h)))
+        want = int(np.count_nonzero(points + abs(m) >= h))
         assert pair.lost(levels, depth, m) == want
-        # with B empty the oracle's enclosure is [0, lost]
-        assert oracle_correlation_bounds(m, level, pts, level, [], levels, depth) \
-            == (0, Fraction(want, denom))
+        lo, hi = oracle_correlation_bounds(m, level, pts, level, pts, levels, depth)
+        assert hi - lo == Fraction(want, denom)
+        # a pair with an empty side meets nothing and loses nothing
+        assert oracle_correlation_bounds(m, level, pts, level, [], levels, depth) == (0, 0)
 
 
 @settings(max_examples=60)
